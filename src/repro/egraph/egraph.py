@@ -15,13 +15,25 @@ congruence relation over them (paper Section 3.3, following egg
 E-nodes store canonical child ids.  The rewrite machinery
 (:mod:`repro.egraph.rewrite`) never touches these internals: it only
 uses :meth:`add_term`, :meth:`union`, :meth:`classes`, and
-:meth:`nodes_of`.
+:meth:`nodes_of`.  Searchers read through :meth:`nodes_view` and
+:attr:`uf`, which copy nothing; the generated e-matchers of
+:mod:`repro.egraph.pattern` read the class table directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from ..dsl.ast import Term
 from .unionfind import UnionFind
@@ -105,6 +117,9 @@ class EGraph:
         #: consumers canonicalize and re-check, so staleness only costs
         #: a wasted lookup, never a missed match.
         self._op_index: Dict[str, Set[int]] = {}
+        #: op name -> ``tick`` at which ``classes_with_op`` last cleaned
+        #: that op's index entry (see there).
+        self._op_clean: Dict[str, int] = {}
         #: Total number of e-nodes ever added; the saturation runner's
         #: node limit checks this, mirroring egg's ``node_limit``.
         self.version = 0
@@ -128,6 +143,13 @@ class EGraph:
     def find(self, eclass_id: int) -> int:
         """Canonical id of the class containing ``eclass_id``."""
         return self._uf.find(eclass_id)
+
+    @property
+    def uf(self) -> UnionFind:
+        """The union-find itself.  Hot loops bind ``egraph.uf.find``
+        once instead of paying for the :meth:`find` wrapper per call;
+        :meth:`restore_from` swaps the object, so bind it per search."""
+        return self._uf
 
     @property
     def num_classes(self) -> int:
@@ -187,11 +209,26 @@ class EGraph:
         """The e-nodes currently stored in the class of ``eclass_id``."""
         return list(self._classes[self.find(eclass_id)].nodes)
 
+    def nodes_view(self, eclass_id: int) -> Sequence[ENode]:
+        """The class's own e-node list, not a copy: read-only, and only
+        valid until the next mutation.  For searchers, which never
+        mutate the graph."""
+        return self._classes[self._uf.find(eclass_id)].nodes
+
     def classes_with_op(self, op: str, since=None, counters=None) -> List[int]:
         """Canonical ids of classes containing at least one node with
         the given operator.  Backed by a lazily-cleaned index so that
         e-matching can skip irrelevant classes (the dominant cost on
         large kernels).
+
+        Cleaning drops ids whose class no longer holds the op and
+        canonicalizes the rest.  Every mutation advances :attr:`tick`,
+        so while the tick is unchanged since an op's last clean, the
+        entry is known clean and the per-class re-check is skipped.
+        The set is still rebuilt by re-inserting its elements in
+        iteration order, exactly as a clean would: a set's iteration
+        order depends on its insertion history, and candidate order
+        decides match order.
 
         ``since`` (an e-graph tick, see :attr:`tick`) additionally
         filters to classes whose subtree changed after that tick --
@@ -203,12 +240,22 @@ class EGraph:
         stale = self._op_index.get(op)
         if not stale:
             return []
-        fresh: Set[int] = set()
-        for cid in stale:
-            root = self._uf.find(cid)
-            eclass = self._classes.get(root)
-            if eclass is not None and any(n.op == op for n in eclass.nodes):
-                fresh.add(root)
+        if self._op_clean.get(op) == self.tick:
+            fresh = {cid for cid in stale}
+        else:
+            find = self._uf.find
+            classes = self._classes
+            fresh = set()
+            for cid in stale:
+                root = find(cid)
+                eclass = classes.get(root)
+                if eclass is None:
+                    continue
+                for node in eclass.nodes:
+                    if node.op == op:
+                        fresh.add(root)
+                        break
+            self._op_clean[op] = self.tick
         self._op_index[op] = fresh
         if since is None:
             if counters is not None:
@@ -296,7 +343,8 @@ class EGraph:
         E-nodes are immutable, so only the containers are copied; class
         ids are preserved, which is what lets the saturation runner
         restore a checkpoint without invalidating ids held by callers
-        (e.g. the compiler's root id).
+        (e.g. the compiler's root id).  The op-index clean marks are
+        not copied: a restored graph may repeat a tick it had before.
         """
         new = EGraph(constant_folding=self.constant_folding)
         new._uf = self._uf.copy()
@@ -325,6 +373,7 @@ class EGraph:
         self._pending = other._pending
         self._const = other._const
         self._op_index = other._op_index
+        self._op_clean = other._op_clean
         self.constant_folding = other.constant_folding
         self.version = other.version
         self.tick = other.tick
@@ -463,10 +512,12 @@ class EGraph:
         loser = self._classes.pop(other)
         winner.nodes.extend(loser.nodes)
         winner.parents.extend(loser.parents)
-        if self.constant_folding:
-            self._merge_constants(root, other)
+        # Stamp before anything that can raise: the op-index fast path
+        # relies on every mutation advancing the tick.
         self._pending.append(root)
         self._stamp(winner)
+        if self.constant_folding:
+            self._merge_constants(root, other)
         return True
 
     def rebuild(self) -> int:

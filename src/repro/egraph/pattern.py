@@ -9,16 +9,31 @@ syntax::
 
 E-matching searches the e-graph for every (e-class, substitution) pair
 such that instantiating the pattern under the substitution yields a
-term represented by that class.  The matcher is the classic recursive
-backtracking procedure over e-nodes; it is not the fastest known
-algorithm, but e-matching time is dominated by the custom vectorization
-searchers in this workload, and the simple matcher is easy to verify.
+term represented by that class.  :func:`match_in_class` is the classic
+recursive backtracking procedure over e-nodes, kept as the reference
+implementation.  :func:`ematch` runs the same search through a matcher
+*generated* for the pattern's shape: one nested loop per operator node,
+no generator frames, no copied node lists, and a substitution dict
+built only on a full match.  It returns exactly the list the reference
+yields, in the same order (see DESIGN.md, "Generated matchers").
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from ..dsl.ast import Term
 from ..dsl.parser import parse
@@ -215,6 +230,197 @@ def _match_children(
         )
 
 
+# ---------------------------------------------------------------------------
+# Generated matchers
+# ---------------------------------------------------------------------------
+
+#: Patterns with more inner operator nodes than this use the
+#: interpretive matcher: each one is a nested loop in the generated
+#: code, and CPython rejects more than 20 statically nested blocks.
+_MAX_GENERATED_LOOPS = 18
+
+#: ``match(find, classes, candidates, expired, out, leaves, consts)
+#: -> completed``.
+_Matcher = Callable[..., bool]
+
+
+def _shape(pat: PNode) -> Tuple[tuple, tuple, Tuple[ENode, ...]]:
+    """Split ``pat`` into a *shape*, the constants that fill it, and
+    its distinct leaf children.
+
+    The shape keeps what decides the generated code: arities, which
+    operator nodes carry a literal value, and where variables and
+    leaves repeat.  An operator node becomes ``(value_is_none,
+    *child_shapes)``, a variable its first-seen index, and a childless
+    node below the root ``"L<k>"`` for its first-seen index among the
+    distinct leaves.  The constants are the ops and literal values in
+    pre-order, then the variable names in first-seen order -- the
+    order the shape's matcher unpacks them in.  Patterns that differ
+    only in constants share one generated function.
+
+    A leaf is never looped over: the hashcons stores each childless
+    e-node exactly once (it has no children to re-canonicalize, so its
+    entry is never rebuilt), so a class holds a node equal to the leaf
+    exactly when it is the class ``EGraph.lookup`` finds for it -- and
+    then holds exactly one.  The matcher compares class ids instead.
+    """
+    consts: List = []
+    names: List[str] = []
+    leaves: List[ENode] = []
+
+    def go(p: Pattern, root: bool = False):
+        if isinstance(p, PVar):
+            if p.name not in names:
+                names.append(p.name)
+            return names.index(p.name)
+        if not p.args and not root:
+            leaf = ENode(p.op, (), p.value)
+            if leaf not in leaves:
+                leaves.append(leaf)
+            return f"L{leaves.index(leaf)}"
+        consts.append(p.op)
+        if p.value is not None:
+            consts.append(p.value)
+        return (p.value is None,) + tuple(go(a) for a in p.args)
+
+    shape = go(pat, root=True)
+    return shape, tuple(consts) + tuple(names), tuple(leaves)
+
+
+def _count_loops(shape) -> int:
+    if not isinstance(shape, tuple):
+        return 0
+    return 1 + sum(_count_loops(child) for child in shape[1:])
+
+
+@functools.lru_cache(maxsize=256)
+def _shape_matcher(shape: tuple, gated: bool) -> _Matcher:
+    """Generate and compile the matcher for one pattern shape.
+
+    It walks the candidate classes in order and, per class, runs
+    the nested loops ``match_in_class`` would recurse through: one loop
+    over the class's e-nodes per operator node, children in index
+    order, variables bound on first sight and compared on repeats, and
+    leaves compared against the class ids in ``leaves``.  So it appends
+    exactly the reference's ``(class, subst)`` pairs, in the reference's
+    order.  ``gated`` adds the :class:`_DeadlineGate` schedule inline --
+    a countdown polling ``expired`` on the first check and every
+    ``_STRIDE``-th after -- and makes it return ``False`` once that
+    fires.  No pattern text enters the source: ops, literals and
+    variable names arrive as values in ``consts``.
+    """
+    lines: List[str] = []
+    node_consts: List[str] = []
+    ids = itertools.count()
+    leaves: Set[str] = set()
+    bound = [0]
+
+    def emit(depth: int, text: str) -> None:
+        lines.append("    " * depth + text)
+
+    def poll(depth: int) -> None:
+        if gated:
+            emit(depth, "left -= 1")
+            emit(depth, "if not left:")
+            emit(depth + 1, "if expired():")
+            emit(depth + 2, "return False")
+            emit(depth + 1, f"left = {_DeadlineGate._STRIDE}")
+
+    def const() -> str:
+        name = f"K{len(node_consts)}"
+        node_consts.append(name)
+        return name
+
+    def node(shape: tuple, cls: str, depth: int) -> int:
+        """Open the loop over the e-nodes of class ``cls``; return the
+        depth inside it."""
+        i = next(ids)
+        n, x = f"n{i}", f"x{i}"
+        children = shape[1:]
+        emit(depth, f"for {n} in classes[{cls}].nodes:")
+        depth += 1
+        poll(depth)
+        op = const()
+        value = "is not None" if shape[0] else f"!= {const()}"
+        if children:
+            arity = f"len({x} := {n}.children) != {len(children)}"
+        else:
+            arity = f"{n}.children"
+        emit(depth, f"if {n}.op != {op} or {n}.value {value} or {arity}:")
+        emit(depth + 1, "continue")
+        for index, child in enumerate(children):
+            if isinstance(child, tuple):
+                depth = node(child, f"find({x}[{index}])", depth)
+                continue
+            if isinstance(child, str):
+                test = child
+                leaves.add(child)
+            elif child < bound[0]:
+                test = f"v{child}"
+            else:
+                emit(depth, f"v{child} = find({x}[{index}])")
+                bound[0] += 1
+                continue
+            emit(depth, f"if find({x}[{index}]) != {test}:")
+            emit(depth + 1, "continue")
+        return depth
+
+    emit(1, "for c0 in candidates:")
+    depth = node(shape, "c0", 2)
+    subst = ", ".join(f"N{k}: v{k}" for k in range(bound[0]))
+    emit(depth, f"out.append((c0, {{{subst}}}))")
+    poll(2)
+    emit(1, "return True")
+    # Constants arrive as locals, not closure cells: a nested factory
+    # nearly doubles the compile time, which every process pays.
+    params = node_consts + [f"N{k}" for k in range(bound[0])]
+    head = [
+        "def match(find, classes, candidates, expired, out, leaves, consts):",
+        f"    {', '.join(params)}, = consts",
+    ]
+    if leaves:
+        head.append(f"    {', '.join(f'L{k}' for k in range(len(leaves)))}, = leaves")
+    if gated:
+        head.append("    left = 1")
+    namespace: Dict[str, object] = {}
+    exec(compile("\n".join(head + lines), "<ematch>", "exec"), namespace)
+    return namespace["match"]  # type: ignore[return-value]
+
+
+@functools.lru_cache(maxsize=1024)
+def _generated_matcher(
+    pat: PNode, gated: bool
+) -> Optional[Tuple[_Matcher, tuple, Tuple[ENode, ...]]]:
+    """The generated matcher for ``pat``'s shape, the pattern's
+    constants, and its distinct leaf e-nodes; ``None`` when the pattern
+    cannot be generated (too deep, or a NaN leaf, which equals nothing
+    yet may be found by identity).  Memoized by value: equal patterns
+    match identically."""
+    shape, consts, leaves = _shape(pat)
+    if _count_loops(shape) > _MAX_GENERATED_LOOPS:
+        return None
+    if any(leaf.value != leaf.value for leaf in leaves):
+        return None
+    return _shape_matcher(shape, gated), consts, leaves
+
+
+def _interpret(
+    egraph: EGraph,
+    pat: Pattern,
+    candidates: List[int],
+    gate: Optional[_DeadlineGate],
+    out: List[Tuple[int, Subst]],
+) -> bool:
+    """The reference search over ``candidates``; ``False`` when the
+    deadline cut it short."""
+    for cid in candidates:
+        for subst in match_in_class(egraph, pat, cid, _gate=gate):
+            out.append((egraph.find(cid), subst))
+        if gate is not None and gate.check():
+            return False
+    return True
+
+
 def ematch(
     egraph: EGraph,
     pat: Pattern,
@@ -226,11 +432,16 @@ def ematch(
     substitution) pairs.  Multiple substitutions per class are all
     reported -- a rewrite may fire several ways on one class.
 
+    The result is exactly what looping :func:`match_in_class` over the
+    candidate classes yields, in the same order; operator patterns run
+    through a generated matcher (see :func:`_shape_matcher`).
+
     ``deadline`` (a :class:`repro.egraph.scheduler.Deadline`) is polled
-    cooperatively inside the recursive matcher; when it expires the
-    matches found so far are returned (and ``counters.completed`` is
-    cleared), letting the saturation runner's wall-clock budget
-    interrupt a long e-match mid-rule -- even mid-class.
+    cooperatively inside the matcher; when it expires the matches found
+    so far are returned (and ``counters.completed`` is cleared),
+    letting the saturation runner's wall-clock budget interrupt a long
+    e-match mid-rule -- even mid-class.  A deadline that can never
+    expire (``at is None``) is not polled at all.
 
     ``since`` restricts the scan to classes whose subtree changed
     after that e-graph tick (see :attr:`repro.egraph.egraph.EGraph.tick`);
@@ -238,21 +449,38 @@ def ematch(
     exact: a match rooted at a clean class cannot have changed.
     """
     results: List[Tuple[int, Subst]] = []
+    polled = deadline is not None and deadline.at is not None
+    generated = None
     if isinstance(pat, PNode):
         # Only classes containing the root operator can match; the
         # e-graph's operator index prunes the scan, and the dirty-set
         # filter prunes it further for incremental searches.
         candidates = egraph.classes_with_op(pat.op, since=since, counters=counters)
+        generated = _generated_matcher(pat, polled)
     else:
         candidates = egraph.dirty_class_ids(since=since, counters=counters)
-    gate = _DeadlineGate(deadline) if deadline is not None else None
-    for cid in candidates:
-        for subst in match_in_class(egraph, pat, cid, _gate=gate):
-            results.append((egraph.find(cid), subst))
-        if gate is not None and gate.check():
-            if counters is not None:
-                counters.completed = False
-            break
+    if generated is not None:
+        matcher, consts, leaves = generated
+        leaf_classes = [egraph.lookup(leaf) for leaf in leaves]
+        if None in leaf_classes:
+            # A leaf absent from the graph: nothing can match.
+            return results
+        # Searches never mutate the graph, so the matcher may read the
+        # class table and union-find directly.
+        completed = matcher(
+            egraph.uf.find,
+            egraph._classes,
+            candidates,
+            deadline.expired if polled else None,
+            results,
+            leaf_classes,
+            consts,
+        )
+    else:
+        gate = _DeadlineGate(deadline) if polled else None
+        completed = _interpret(egraph, pat, candidates, gate, results)
+    if not completed and counters is not None:
+        counters.completed = False
     return results
 
 

@@ -170,6 +170,9 @@ class SyntacticRewrite(Rewrite):
             raise ValueError(
                 f"rewrite {name!r}: RHS variables {sorted(missing)} unbound by LHS"
             )
+        #: Every match binds exactly these names; a match's dedup key
+        #: lists its bindings in this fixed order.
+        self._key_vars = tuple(sorted(pattern_vars(self.lhs)))
 
     def search(
         self,
@@ -190,7 +193,7 @@ class SyntacticRewrite(Rewrite):
             def build(eg: EGraph, _subst: Subst = subst, _rhs: Pattern = rhs) -> int:
                 return instantiate(eg, _rhs, _subst)
 
-            key = (eclass_id,) + tuple(sorted(subst.items()))
+            key = (eclass_id, *[subst[v] for v in self._key_vars])
             matches.append(Match(eclass_id, build, self.name, dedup_key=key))
         return matches
 
@@ -252,12 +255,14 @@ class CustomRewrite(Rewrite):
         matches: List[Match] = []
         # The searcher is arbitrary user code; polling the deadline
         # between yielded matches lets even generator-style searchers
-        # cooperate without knowing about deadlines themselves.
+        # cooperate without knowing about deadlines themselves.  A
+        # deadline that can never expire is not polled.
+        polled = deadline is not None and deadline.at is not None
         check_every = 16
         for i, m in enumerate(produced):
             m.rule_name = m.rule_name or self.name
             matches.append(m)
-            if deadline is not None and i % check_every == 0 and deadline.expired():
+            if polled and i % check_every == 0 and deadline.expired():
                 # Truncated: the cursor must not advance past the
                 # unseen candidates.
                 counters.completed = False

@@ -32,7 +32,7 @@ from __future__ import annotations
 import time
 import tracemalloc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..chaos.inject import chaos_flag, chaos_point
 from ..observability import current_session, span
@@ -376,12 +376,13 @@ class Runner:
             deduped = 0
             stop_mid_apply: Optional[str] = None
             failing_match: Optional[Match] = None
+            find = egraph.uf.find
             try:
                 for match in all_matches:
                     failing_match = match
                     if self.dedup_matches and match.dedup_key is not None:
                         key = (match.rule_name,) + _canonical_key(
-                            egraph, match.dedup_key
+                            find, match.dedup_key
                         )
                         if key in applied_keys:
                             deduped += 1
@@ -608,20 +609,22 @@ class Runner:
         return visited, skipped
 
 
-def _canonical_key(egraph: EGraph, key: tuple) -> tuple:
-    """Canonicalize a match dedup key: non-negative ints are e-class
-    ids and collapse to their representative; nested tuples recurse;
-    everything else (strings, negative sentinel ints) passes through.
+def _canonical_key(find: Callable[[int], int], key: tuple) -> tuple:
+    """Canonicalize a match dedup key with the union-find's ``find``:
+    non-negative ints are e-class ids and collapse to their
+    representative; nested tuples recurse; everything else (strings,
+    negative sentinel ints) passes through.
 
     ``type(x) is int`` deliberately excludes ``bool`` (an ``int``
     subclass) so boolean flags in keys are never fed to ``find``.
     """
     out = []
     for x in key:
-        if type(x) is tuple:
-            out.append(_canonical_key(egraph, x))
-        elif type(x) is int and x >= 0:
-            out.append(egraph.find(x))
+        kind = type(x)
+        if kind is int:
+            out.append(find(x) if x >= 0 else x)
+        elif kind is tuple:
+            out.append(_canonical_key(find, x))
         else:
             out.append(x)
     return tuple(out)

@@ -233,21 +233,32 @@ def _copy_stats(stats: Dict[str, RuleStats]) -> Dict[str, RuleStats]:
 
 
 def _merge_rule_stats(
-    into: Dict[str, RuleStats], source: Dict[str, RuleStats]
+    into: Dict[str, RuleStats],
+    source: Dict[str, RuleStats],
+    baseline: Dict[str, RuleStats],
 ) -> None:
+    """Add one round's own counts to ``into``.  ``source`` is the round
+    scheduler's cumulative stats and ``baseline`` what that scheduler
+    was seeded with -- the earlier rounds' stats, already merged -- so
+    only the difference is new."""
+    zero = RuleStats()
     for name, s in source.items():
+        base = baseline.get(name, zero)
         acc = into.get(name)
         if acc is None:
-            into[name] = dataclasses.replace(s)
-            continue
-        acc.matches += s.matches
-        acc.applied += s.applied
-        acc.skipped += s.skipped
-        acc.times_banned += s.times_banned
-        acc.search_time += s.search_time
-        acc.classes_visited += s.classes_visited
-        acc.classes_skipped += s.classes_skipped
-        acc.full_rescans += s.full_rescans
+            into[name] = acc = dataclasses.replace(
+                s, matches=0, applied=0, skipped=0, times_banned=0,
+                search_time=0.0, classes_visited=0, classes_skipped=0,
+                full_rescans=0,
+            )
+        acc.matches += s.matches - base.matches
+        acc.applied += s.applied - base.applied
+        acc.skipped += s.skipped - base.skipped
+        acc.times_banned += s.times_banned - base.times_banned
+        acc.search_time += s.search_time - base.search_time
+        acc.classes_visited += s.classes_visited - base.classes_visited
+        acc.classes_skipped += s.classes_skipped - base.classes_skipped
+        acc.full_rescans += s.full_rescans - base.full_rescans
 
 
 def execute_plan(
@@ -427,7 +438,9 @@ def _run_phase(
             incremental=options.incremental_matching,
             rescan_stride=options.rescan_stride,
         )
+        baseline: Dict[str, RuleStats] = {}
         if carried is not None:
+            baseline = _copy_stats(carried)
             # Continue the backoff history across the re-seed: match
             # counters and ban counts persist so explosive rules stay
             # throttled, and bans are rebased to the new runner's
@@ -463,7 +476,7 @@ def _run_phase(
             persist=persist,
         )
         run = runner.run(egraph)
-        _merge_rule_stats(merged.rule_stats, run.rule_stats)
+        _merge_rule_stats(merged.rule_stats, run.rule_stats, baseline)
         merged.iterations.extend(run.iterations)
         merged.stop_reason = run.stop_reason
         if run.resumed_from is not None and merged.resumed_from is None:

@@ -30,12 +30,12 @@ cost model can choose the single-array gather layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from ..egraph.egraph import EGraph, ENode
 from ..egraph.rewrite import CustomRewrite, Match, Rewrite, SearchContext
-from .vector import class_is_zero, operand_sort_key
+from .vector import operand_sort_key
 
 __all__ = ["mac_rule"]
 
@@ -58,7 +58,7 @@ class _LaneMac:
 
 def _find_mul(egraph: EGraph, eclass_id: int) -> Optional[Tuple[int, int]]:
     """First ``(* b c)`` node in the class, if any."""
-    for node in egraph.nodes_of(eclass_id):
+    for node in egraph.nodes_view(eclass_id):
         if node.op == "*":
             return node.children[0], node.children[1]
     return None
@@ -66,9 +66,18 @@ def _find_mul(egraph: EGraph, eclass_id: int) -> Optional[Tuple[int, int]]:
 
 def _match_mac_lane(egraph: EGraph, lane: int) -> Optional[_LaneMac]:
     """Match one lane against the MAC pattern options, in priority
-    order: additive forms, subtractive forms, bare product, zero."""
-    for node in egraph.nodes_of(lane):
-        if node.op == "+":
+    order: additive forms, subtractive forms, bare product, zero.  One
+    pass over the lane's nodes notes the first product and any zero
+    while it looks for the additive and subtractive forms."""
+    mul_node: Optional[ENode] = None
+    zero = False
+    for node in egraph.nodes_view(lane):
+        if node.op == "*":
+            if mul_node is None:
+                mul_node = node
+        elif node.op == "Num":
+            zero = zero or node.value == 0
+        elif node.op == "+":
             left, right = node.children
             mul = _find_mul(egraph, right)
             if mul is not None:
@@ -86,10 +95,9 @@ def _match_mac_lane(egraph: EGraph, lane: int) -> Optional[_LaneMac]:
             if mul is not None:
                 # b*c - a == (-a) + b*c
                 return _LaneMac(right, mul[0], mul[1], negate_acc=True)
-    mul = _find_mul(egraph, lane)
-    if mul is not None:
-        return _LaneMac(None, mul[0], mul[1])
-    if class_is_zero(egraph, lane):
+    if mul_node is not None:
+        return _LaneMac(None, mul_node.children[0], mul_node.children[1])
+    if zero:
         return _LaneMac(None, None, None)
     return None
 
@@ -103,7 +111,7 @@ def mac_rule(width: int) -> Rewrite:
             "Vec", since=ctx.since, counters=ctx.counters
         )
         for root in candidates:
-            for node in egraph.nodes_of(root):
+            for node in egraph.nodes_view(root):
                 if node.op != "Vec" or len(node.children) != width:
                     continue
                 matches.extend(_mac_matches_for(egraph, root, node))
@@ -176,7 +184,10 @@ def _mac_matches_for(egraph: EGraph, root: int, node: ENode) -> List[Match]:
         b, c = lane_match.b, lane_match.c
         if b is not None and c is not None:
             if operand_sort_key(egraph, c) < operand_sort_key(egraph, b):
-                lane_match = replace(lane_match, b=c, c=b)
+                lane_match = _LaneMac(
+                    lane_match.acc, c, b,
+                    lane_match.negate_acc, lane_match.negate_b,
+                )
         sorted_lanes.append(lane_match)
     if sorted_lanes != per_lane:
         matches.append(

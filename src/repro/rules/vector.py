@@ -42,7 +42,6 @@ __all__ = [
     "binary_vectorize_rule",
     "unary_vectorize_rule",
     "vector_identity_rules",
-    "class_is_zero",
     "operand_sort_key",
 ]
 
@@ -53,16 +52,9 @@ _COMMUTATIVE = {"+", "*"}
 _PAD_SECOND_OPERAND = {"+": 0.0, "-": 0.0, "*": 1.0, "/": 1.0}
 
 
-def class_is_zero(egraph: EGraph, eclass_id: int) -> bool:
-    """True when the class contains the literal 0."""
-    return any(
-        n.op == "Num" and n.value == 0 for n in egraph.nodes_of(eclass_id)
-    )
-
-
 def _class_literal(egraph: EGraph, eclass_id: int) -> Optional[float]:
     """The numeric literal in the class, if any."""
-    for n in egraph.nodes_of(eclass_id):
+    for n in egraph.nodes_view(eclass_id):
         if n.op == "Num":
             return float(n.value)  # type: ignore[arg-type]
     return None
@@ -76,30 +68,25 @@ def operand_sort_key(egraph: EGraph, eclass_id: int) -> Tuple[int, str, float]:
     *same* array in the *same* operand vector.
     """
     best: Optional[Tuple[int, str, float]] = None
-    for node in egraph.nodes_of(eclass_id):
+    for node in egraph.nodes_view(eclass_id):
         key: Optional[Tuple[int, str, float]] = None
         if node.op == "Get":
             array = _symbol_name(egraph, node.children[0])
-            index = _num_value(egraph, node.children[1])
+            index = _class_literal(egraph, node.children[1])
             if array is not None and index is not None:
                 key = (0, array, index)
         elif node.op == "Num":
             key = (1, "", float(node.value))  # type: ignore[arg-type]
         if key is not None and (best is None or key < best):
             best = key
-    return best if best is not None else (2, "", float(egraph.find(eclass_id)))
+    return best if best is not None else (2, "", float(egraph.uf.find(eclass_id)))
 
 
 def _symbol_name(egraph: EGraph, eclass_id: int) -> Optional[str]:
-    for node in egraph.nodes_of(eclass_id):
+    for node in egraph.nodes_view(eclass_id):
         if node.op == "Symbol":
             return str(node.value)
     return None
-
-
-def _num_value(egraph: EGraph, eclass_id: int) -> Optional[float]:
-    lit = _class_literal(egraph, eclass_id)
-    return lit
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +109,7 @@ def list_split_rule(width: int) -> Rewrite:
             "List", since=ctx.since, counters=ctx.counters
         )
         for cid in candidates:
-            for node in egraph.nodes_of(cid):
+            for node in egraph.nodes_view(cid):
                 if node.op != "List":
                     continue
                 lanes = node.children
@@ -176,16 +163,18 @@ def _match_binary_lane(
     lane is a literal; ``None`` when the lane cannot participate.
     """
     candidates: List[_LaneBin] = []
-    for node in egraph.nodes_of(lane):
+    literal = False
+    for node in egraph.nodes_view(lane):
         if node.op == op:
             a, b = node.children
             candidates.append((a, b))
             if op in _COMMUTATIVE and a != b:
                 candidates.append((b, a))
+        elif node.op == "Num":
+            literal = True
     if candidates:
         return candidates
-    literal = _class_literal(egraph, lane)
-    if literal is not None:
+    if literal:
         # A literal lane x can pass through as (x op identity).
         return [(-1, -1)]  # sentinel: resolved at build time
     return None
@@ -201,7 +190,7 @@ def binary_vectorize_rule(width: int) -> Rewrite:
             "Vec", since=ctx.since, counters=ctx.counters
         )
         for root in candidates:
-            for node in egraph.nodes_of(root):
+            for node in egraph.nodes_view(root):
                 if node.op != "Vec" or len(node.children) != width:
                     continue
                 for op, vec_op in SCALAR_BINOPS.items():
@@ -301,7 +290,7 @@ def unary_vectorize_rule(width: int) -> Rewrite:
             "Vec", since=ctx.since, counters=ctx.counters
         )
         for root in candidates:
-            for node in egraph.nodes_of(root):
+            for node in egraph.nodes_view(root):
                 if node.op != "Vec" or len(node.children) != width:
                     continue
                 for op, vec_op in SCALAR_UNOPS.items():
@@ -323,14 +312,17 @@ def _unary_match_for(
     op_lanes = 0
     for lane in lanes:
         found = None
-        for candidate in egraph.nodes_of(lane):
+        zero = False
+        for candidate in egraph.nodes_view(lane):
             if candidate.op == op:
                 found = candidate.children[0]
                 break
+            if candidate.op == "Num" and candidate.value == 0:
+                zero = True
         if found is not None:
             op_lanes += 1
             args.append(found)
-        elif class_is_zero(egraph, lane):
+        elif zero:
             args.append(None)  # resolved to literal 0 at build time
         else:
             return None

@@ -688,6 +688,10 @@ class CompileService:
         proc.start()
         child_conn.close()
         self._register(proc)
+        if self._draining.is_set():
+            # A drain that began while this worker was forking swept
+            # ``_live`` before the worker was in it.
+            self._kill(proc)
         kill_timeout = limits.kill_timeout or _DEFAULT_KILL_TIMEOUT
         deadline = time.monotonic() + kill_timeout
         message = None

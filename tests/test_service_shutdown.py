@@ -105,6 +105,31 @@ def test_shutdown_kills_and_reaps_inflight_workers():
     assert set(_worker_scratch_files()) <= before
 
 
+def test_worker_forked_during_drain_is_killed():
+    """A drain that sweeps the live workers while another one is still
+    forking must not miss it: the late worker is killed as soon as it
+    registers, instead of hanging until its kill-timeout."""
+    spec = _spec("shutdown-late")
+    service = CompileService(
+        cache=None,
+        isolate=True,
+        policy=QUICK,
+        limits=WorkerLimits(kill_timeout=20.0),
+    )
+    register = service._register
+
+    def register_after_drain(proc):
+        service.shutdown()  # the sweep runs before this worker is live
+        register(proc)
+
+    service._register = register_after_drain
+    start = time.monotonic()
+    with pytest.raises(ShutdownError):
+        service.compile_spec(spec, FAST, inject=FaultInjection("hang"))
+    assert time.monotonic() - start < 10.0
+    assert service._live == []
+
+
 def test_drain_casualties_are_not_retried():
     """With retries available, a drained compile still fails immediately
     with ShutdownError instead of burning shrunk-budget attempts."""
