@@ -149,7 +149,6 @@ def _saturate(
         node_limit=options.node_limit,
         time_limit=options.time_limit,
         incremental=incremental,
-        rescan_stride=options.rescan_stride,
         catch_errors=False,
     )
     start = time.perf_counter()

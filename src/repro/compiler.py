@@ -17,8 +17,7 @@ partially saturated graph" (Section 5.5) -- is generalized here into a
 *degradation ladder* (see DESIGN.md):
 
 1. saturation crash -> extract from the last consistent rebuilt
-   e-graph (the runner recovers it in place, or rolls back to an
-   end-of-iteration checkpoint);
+   e-graph (the runner recovers it in place);
 2. vector-cost extraction or its lowering fails -> fall back to a
    :class:`~repro.costs.ScalarOnlyCostModel` extraction;
 3. the scalar fallback also fails -> lower the unrewritten spec term
@@ -97,24 +96,14 @@ class CompileOptions:
     #: in one iteration is banned for exponentially growing stretches.
     #: ``None`` keeps banning off (stats are still collected).
     match_limit: Optional[int] = None
-    #: Rule-family switches (Section 5.6 ablation turns vector off).
-    enable_scalar_rules: bool = True
+    #: Vector rules on or off (the Section 5.6 ablation turns them off).
     enable_vector_rules: bool = True
-    enable_ac_rules: bool = False
     extra_rules: Tuple[Rewrite, ...] = ()
-    #: Extraction cost model configuration.
-    cost_config: Optional[CostConfig] = None
     #: Run translation validation on the extracted program.
     validate: bool = True
-    #: Run local value numbering / DCE on the lowered kernel.
-    run_lvn: bool = True
     #: Record peak memory with tracemalloc (small overhead; Table 1
     #: wants it, unit tests may turn it off).
     track_memory: bool = False
-    #: Enable the e-graph's constant-folding analysis (an egg-style
-    #: e-class analysis; an extension beyond the paper's configuration,
-    #: off by default so evaluation runs match the paper).
-    enable_constant_folding: bool = False
     #: Candidate selection: additionally extract with the scalar
     #: (term-size) cost model and keep whichever lowered kernel has the
     #: lower static cycle count.  This implements the improvement the
@@ -127,24 +116,10 @@ class CompileOptions:
     #: Degrade gracefully on stage failures (the degradation ladder in
     #: the module docstring) instead of raising staged exceptions.
     fault_tolerance: bool = True
-    #: Keep an end-of-iteration e-graph checkpoint during saturation so
-    #: a mid-apply crash rolls back cleanly (costs one graph copy every
-    #: ``checkpoint_stride`` iterations; off by default, the in-place
-    #: rebuild recovery is usually sufficient).
-    checkpoint_egraph: bool = False
-    #: Iterations between checkpoints when ``checkpoint_egraph`` is on.
-    #: A stride > 1 amortizes the copy; rollback then loses at most
-    #: ``checkpoint_stride - 1`` iterations of rewriting.
+    #: Iterations between persistent saturation checkpoints (see
+    #: ``checkpoint_dir``).  A stride > 1 amortizes the write; a resume
+    #: then redoes at most ``checkpoint_stride - 1`` iterations.
     checkpoint_stride: int = 4
-    #: Dirty-set incremental e-matching: each rule re-searches only the
-    #: classes whose subtree changed since its last search (with a
-    #: periodic full rescan every ``rescan_stride`` searches as a
-    #: safeguard).  Exact -- the extracted programs are identical to a
-    #: full rescan -- so it is on by default.
-    incremental_matching: bool = True
-    rescan_stride: int = 16
-    #: Random-testing budget used when a crashed validation is retried.
-    validation_retry_trials: int = 32
     #: Seed for every randomized differential check downstream of this
     #: compilation (validation's random-testing lanes, the evaluation
     #: harness's correctness probes, the fuzz oracle).  The default
@@ -165,7 +140,8 @@ class CompileOptions:
     #: Absolute end-to-end deadline on the ``time.time()`` scale (the
     #: one clock a forked worker shares with its supervisor).  When
     #: set, ``compile_spec`` clamps the saturation ``time_limit`` to
-    #: the residual budget at entry and raises a typed
+    #: the residual budget at entry (the phased path re-clamps every
+    #: round and starts none past the deadline) and raises a typed
     #: :class:`repro.errors.DeadlineExceededError` when the budget is
     #: already gone; the supervisor additionally sheds the request
     #: *before* forking a worker and clamps retry backoff sleeps so a
@@ -184,8 +160,8 @@ class CompileOptions:
     observability: Optional[Observability] = None
     #: Sketch-guided phased saturation (DESIGN.md §13).  ``"auto"``
     #: switches to the phased path when the spec's unique-term size
-    #: reaches ``phase_threshold`` (large kernels whose monolithic run
-    #: would blow the node budget); ``"on"`` forces it; ``"off"``
+    #: reaches :data:`PHASE_THRESHOLD` (large kernels whose monolithic
+    #: run would blow the node budget); ``"on"`` forces it; ``"off"``
     #: always saturates monolithically.  Kernels below the threshold
     #: are untouched by ``"auto"`` -- their extraction stays
     #: byte-identical to ``"off"``.
@@ -193,15 +169,37 @@ class CompileOptions:
     #: The plan the phased path runs; ``None`` means the shipped
     #: three-phase :func:`repro.phases.default_plan` for this width.
     phase_plan: Optional["PhasePlan"] = None
-    #: ``"auto"`` engagement threshold on ``unique_size(spec.term)``.
-    #: 2000 sits above every paper-table kernel (max 1868) and below
-    #: the first kernels the monolithic path cannot finish (2DConv
-    #: 8x8/4x4 seeds 2074 e-nodes, MatMul 16x16 seeds 8707).
-    phase_threshold: int = 2_000
 
     def cost_model(self) -> CostFunction:
-        config = self.cost_config or CostConfig(vector_width=self.vector_width)
-        return DiospyrosCostModel(config)
+        return DiospyrosCostModel(CostConfig(vector_width=self.vector_width))
+
+    def scaled(self, factor: float) -> "CompileOptions":
+        """These options with the node and time budgets scaled by
+        ``factor``, never below :data:`MIN_NODE_LIMIT` and
+        :data:`MIN_TIME_LIMIT`.  The one budget-shrinking rule of the
+        supervisor's retries, the gateway's brownout and the
+        evaluation's halved-budget retry."""
+        changes: Dict[str, object] = {
+            "node_limit": max(MIN_NODE_LIMIT, int(self.node_limit * factor))
+        }
+        if self.time_limit is not None:
+            changes["time_limit"] = max(MIN_TIME_LIMIT, self.time_limit * factor)
+        return dataclasses.replace(self, **changes)
+
+
+#: Floors of :meth:`CompileOptions.scaled`: below these a shrunk
+#: budget cannot produce anything worth the attempt.
+MIN_NODE_LIMIT = 1_000
+MIN_TIME_LIMIT = 0.25
+
+#: ``phases="auto"`` engagement threshold on ``unique_size(spec.term)``.
+#: 2000 sits above every paper-table kernel (max 1868) and below the
+#: first kernels the monolithic path cannot finish (2DConv 8x8/4x4
+#: seeds 2074 e-nodes, MatMul 16x16 seeds 8707).
+PHASE_THRESHOLD = 2_000
+
+#: Random-testing budget of the validation retry (ladder rung 4).
+VALIDATION_RETRY_TRIALS = 32
 
 
 @dataclass
@@ -503,7 +501,7 @@ def _record_compile_metrics(result: CompileResult) -> None:
 
 def _selected_plan(spec: Spec, options: CompileOptions) -> Optional[PhasePlan]:
     """Decide whether this compile saturates in phases, and under
-    which plan.  ``"auto"`` engages only at ``phase_threshold`` so
+    which plan.  ``"auto"`` engages only at :data:`PHASE_THRESHOLD` so
     every paper-sized kernel keeps the monolithic trajectory (and its
     byte-identical extractions); vector rules off implies monolithic
     (the default plan's phases are vectorization stages)."""
@@ -515,7 +513,7 @@ def _selected_plan(spec: Spec, options: CompileOptions) -> Optional[PhasePlan]:
         )
     if mode == "off" or not options.enable_vector_rules:
         return None
-    if mode == "auto" and unique_size(spec.term) < options.phase_threshold:
+    if mode == "auto" and unique_size(spec.term) < PHASE_THRESHOLD:
         return None
     return options.phase_plan or default_plan(options.vector_width)
 
@@ -538,12 +536,10 @@ def _saturate(
     try:
         rules = build_ruleset(
             width=options.vector_width,
-            enable_scalar=options.enable_scalar_rules,
             enable_vector=options.enable_vector_rules,
-            enable_ac=options.enable_ac_rules,
             extra_rules=list(options.extra_rules),
         )
-        egraph = EGraph(constant_folding=options.enable_constant_folding)
+        egraph = EGraph()
         root = egraph.add_term(spec.term)
     except Exception as exc:
         raise SaturationError(
@@ -565,10 +561,7 @@ def _saturate(
         node_limit=options.node_limit,
         time_limit=options.time_limit,
         match_limit=options.match_limit,
-        checkpoint=options.checkpoint_egraph,
         checkpoint_stride=options.checkpoint_stride,
-        incremental=options.incremental_matching,
-        rescan_stride=options.rescan_stride,
         catch_errors=True,
         persist=persist,
     )
@@ -630,7 +623,7 @@ def _saturate_phased(
             execution.failure,
             "falling back to the last successful phase's extracted term",
         )
-        egraph = EGraph(constant_folding=options.enable_constant_folding)
+        egraph = EGraph()
         root = egraph.add_term(execution.fallback_term)
         execution.report.nodes = egraph.num_nodes
         execution.report.classes = egraph.num_classes
@@ -709,8 +702,7 @@ def _lower(
 
     def attempt(term: Term) -> Tuple[Program, Program]:
         unoptimized = lower_spec_program(spec, term, options.vector_width)
-        program = lvn_optimize(unoptimized) if options.run_lvn else unoptimized
-        return unoptimized, program
+        return unoptimized, lvn_optimize(unoptimized)
 
     try:
         chaos_point("lower.start")
@@ -781,7 +773,7 @@ def _validate(
         return validate(
             spec,
             term,
-            random_trials=options.validation_retry_trials,
+            random_trials=VALIDATION_RETRY_TRIALS,
             seed=options.seed + 1,
         )
     except Exception as exc:

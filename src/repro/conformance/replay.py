@@ -14,7 +14,6 @@ around this module, so fixing a replay bug fixes every repro at once.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -36,29 +35,21 @@ REPRO_SCHEMA = "conformance_repro/v1"
 
 #: CompileOptions fields a repro serializes: every scalar knob that can
 #: change compilation behavior.  Non-scalar fields (extra_rules,
-#: cost_config, observability) are deliberately excluded -- a repro
-#: must be a plain-JSON artifact; divergences that depend on injected
-#: rules replay by passing the same ``options`` object in-process.
+#: observability) are deliberately excluded -- a repro must be a
+#: plain-JSON artifact; divergences that depend on injected rules
+#: replay by passing the same ``options`` object in-process.
 _OPTION_FIELDS = (
     "vector_width",
     "iter_limit",
     "node_limit",
     "time_limit",
     "match_limit",
-    "enable_scalar_rules",
     "enable_vector_rules",
-    "enable_ac_rules",
-    "enable_constant_folding",
     "select_best_candidate",
     "validate",
-    "run_lvn",
     "track_memory",
     "fault_tolerance",
-    "checkpoint_egraph",
     "checkpoint_stride",
-    "incremental_matching",
-    "rescan_stride",
-    "validation_retry_trials",
     "seed",
 )
 
@@ -68,12 +59,9 @@ def options_to_json(options: CompileOptions) -> Dict:
 
 
 def options_from_json(payload: Dict) -> CompileOptions:
-    known = {f.name for f in dataclasses.fields(CompileOptions)}
-    kwargs = {
-        name: payload[name]
-        for name in _OPTION_FIELDS
-        if name in payload and name in known
-    }
+    """Options from a repro payload.  Only listed names are read, so
+    payloads written before a field was removed still load."""
+    kwargs = {name: payload[name] for name in _OPTION_FIELDS if name in payload}
     return CompileOptions(**kwargs)
 
 

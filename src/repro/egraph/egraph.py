@@ -41,10 +41,6 @@ from .unionfind import UnionFind
 __all__ = ["ENode", "EClass", "EGraph"]
 
 
-def _is_representable(value: float) -> bool:
-    """Folded constants must be finite (no inf/nan literals)."""
-    return value == value and abs(value) != float("inf")
-
 Payload = Union[int, float, str, None]
 
 
@@ -100,18 +96,11 @@ class EGraph:
         assert eg.find(root) == eg.find(other)
     """
 
-    def __init__(self, constant_folding: bool = False) -> None:
+    def __init__(self) -> None:
         self._uf = UnionFind()
         self._memo: Dict[ENode, int] = {}
         self._classes: Dict[int, EClass] = {}
         self._pending: List[int] = []
-        #: Optional e-class analysis (egg's "analyses"): every class
-        #: may carry a known constant value; folding materializes the
-        #: corresponding ``Num`` node into the class so zero-aware
-        #: rules and the cost model see it.  Opt-in: the evaluation
-        #: runs match the paper's configuration without it.
-        self.constant_folding = constant_folding
-        self._const: Dict[int, float] = {}
         #: op name -> ids of classes that (at some point) contained a
         #: node with that op.  May contain stale ids after unions;
         #: consumers canonicalize and re-check, so staleness only costs
@@ -342,11 +331,12 @@ class EGraph:
 
         E-nodes are immutable, so only the containers are copied; class
         ids are preserved, which is what lets the saturation runner
-        restore a checkpoint without invalidating ids held by callers
-        (e.g. the compiler's root id).  The op-index clean marks are
-        not copied: a restored graph may repeat a tick it had before.
+        resume a persisted checkpoint without invalidating ids held by
+        callers (e.g. the compiler's root id).  The op-index clean
+        marks are not copied: a restored graph may repeat a tick it had
+        before.
         """
-        new = EGraph(constant_folding=self.constant_folding)
+        new = EGraph()
         new._uf = self._uf.copy()
         new._memo = dict(self._memo)
         new._classes = {
@@ -354,7 +344,6 @@ class EGraph:
             for cid, c in self._classes.items()
         }
         new._pending = list(self._pending)
-        new._const = dict(self._const)
         new._op_index = {op: set(ids) for op, ids in self._op_index.items()}
         new.version = self.version
         new.tick = self.tick
@@ -371,10 +360,8 @@ class EGraph:
         self._memo = other._memo
         self._classes = other._classes
         self._pending = other._pending
-        self._const = other._const
         self._op_index = other._op_index
         self._op_clean = other._op_clean
-        self.constant_folding = other.constant_folding
         self.version = other.version
         self.tick = other.tick
         self._n_nodes = other._n_nodes
@@ -405,58 +392,7 @@ class EGraph:
         # propagation: any node referencing it later is newer still.
         self.tick += 1
         eclass.modified_at = self.tick
-        if self.constant_folding:
-            self._fold(new_id, node)
         return new_id
-
-    # ------------------------------------------------------------------
-    # Constant-folding analysis (egg-style e-class analysis)
-    # ------------------------------------------------------------------
-
-    def constant_of(self, eclass_id: int) -> Optional[float]:
-        """The known constant value of the class, if the analysis has
-        derived one."""
-        return self._const.get(self._uf.find(eclass_id))
-
-    _FOLDABLE = {"+", "-", "*", "/", "neg", "sqrt", "sgn"}
-
-    def _fold(self, eclass_id: int, node: ENode) -> None:
-        """Try to derive a constant for a freshly added node; on
-        success, record it and materialize the literal in the class
-        (egg's ``modify`` hook)."""
-        value: Optional[float] = None
-        if node.op == "Num":
-            value = float(node.value)  # type: ignore[arg-type]
-        elif node.op in self._FOLDABLE:
-            children = [self._const.get(self._uf.find(c)) for c in node.children]
-            if all(v is not None for v in children):
-                from ..dsl.ops import scalar_eval
-
-                try:
-                    value = float(scalar_eval(node.op, *children))  # type: ignore[arg-type]
-                except (ValueError, ZeroDivisionError, OverflowError):
-                    value = None
-        if value is None or not _is_representable(value):
-            return
-        root = self._uf.find(eclass_id)
-        self._const[root] = value
-        if node.op != "Num":
-            literal = self.add(ENode("Num", (), value))
-            if self.union(root, literal):
-                self.rebuild()
-
-    def _merge_constants(self, kept: int, dropped: int) -> None:
-        a = self._const.pop(dropped, None)
-        b = self._const.get(kept)
-        if a is None:
-            return
-        if b is None:
-            self._const[kept] = a
-        elif abs(a - b) > 1e-9 * max(1.0, abs(a)):
-            raise RuntimeError(
-                f"constant-analysis conflict: class holds both {a} and {b} "
-                "(an unsound rewrite united unequal constants)"
-            )
 
     def add_term(self, term: Term) -> int:
         """Insert a whole term bottom-up; returns the root's class id."""
@@ -512,12 +448,8 @@ class EGraph:
         loser = self._classes.pop(other)
         winner.nodes.extend(loser.nodes)
         winner.parents.extend(loser.parents)
-        # Stamp before anything that can raise: the op-index fast path
-        # relies on every mutation advancing the tick.
         self._pending.append(root)
         self._stamp(winner)
-        if self.constant_folding:
-            self._merge_constants(root, other)
         return True
 
     def rebuild(self) -> int:

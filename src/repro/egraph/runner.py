@@ -158,10 +158,9 @@ class Runner:
 
     Fault tolerance: by default (``catch_errors=True``) an exception
     raised by a rule's searcher or applier stops the run with
-    ``StopReason.ERROR`` instead of propagating; the e-graph is left in
-    a consistent state -- rebuilt in place, or restored from the last
-    end-of-iteration checkpoint when ``checkpoint=True``.  Extraction
-    on the surviving graph is always sound.
+    ``StopReason.ERROR`` instead of propagating; the e-graph is rebuilt
+    in place into a consistent state, so extraction on the surviving
+    graph is always sound.
 
     Watchdogs: the wall-clock deadline is checked between rules, *inside*
     rule search (cooperatively, via :class:`Deadline`), and inside the
@@ -188,10 +187,8 @@ class Runner:
         scheduler: Optional[RewriteScheduler] = None,
         memory_limit_bytes: Optional[int] = None,
         catch_errors: bool = True,
-        checkpoint: bool = False,
         checkpoint_stride: int = 1,
         incremental: bool = True,
-        rescan_stride: int = 16,
         dedup_matches: bool = True,
         persist=None,
     ) -> None:
@@ -207,10 +204,8 @@ class Runner:
         self.scheduler = scheduler
         self.memory_limit_bytes = memory_limit_bytes
         self.catch_errors = catch_errors
-        self.checkpoint = checkpoint
         self.checkpoint_stride = checkpoint_stride
         self.incremental = incremental
-        self.rescan_stride = rescan_stride
         self.dedup_matches = dedup_matches
         #: Optional persistent checkpointer (duck-typed ``load`` /
         #: ``save`` / ``delete``; see
@@ -225,9 +220,7 @@ class Runner:
         if self.scheduler is not None:
             return self.scheduler
         return BackoffScheduler(
-            match_limit=self.match_limit,
-            incremental=self.incremental,
-            rescan_stride=self.rescan_stride,
+            match_limit=self.match_limit, incremental=self.incremental
         )
 
     def run(self, egraph: EGraph) -> RunReport:
@@ -271,15 +264,13 @@ class Runner:
                     nodes=egraph.num_nodes,
                 )
 
-        snapshot: Optional[EGraph] = egraph.copy() if self.checkpoint else None
-
         try:
             self._loop(
-                egraph, report, scheduler, deadline, snapshot,
-                applied_keys, start_iteration,
+                egraph, report, scheduler, deadline, applied_keys,
+                start_iteration,
             )
         except Exception as exc:  # noqa: BLE001 - fault-tolerance boundary
-            self._recover(egraph, report, snapshot, exc)
+            self._recover(egraph, report, exc)
             if not self.catch_errors:
                 self._finish(report, egraph, start, session)
                 raise
@@ -299,7 +290,6 @@ class Runner:
         report: RunReport,
         scheduler: RewriteScheduler,
         deadline: Deadline,
-        snapshot: Optional[EGraph],
         applied_keys: set,
         start_iteration: int = 0,
     ) -> None:
@@ -404,8 +394,8 @@ class Runner:
                             break
             except Exception as exc:
                 # A crashing applier may leave partially built RHS
-                # nodes and pending unions behind; a rebuild (or the
-                # checkpoint) restores full consistency.
+                # nodes and pending unions behind; a rebuild restores
+                # full consistency.
                 report.stop_reason = StopReason.ERROR
                 report.error = f"{type(exc).__name__}: {exc}"
                 report.failed_rule = (
@@ -413,13 +403,8 @@ class Runner:
                 )
                 self._emit(session, "rule_crash", phase="apply",
                            rule=report.failed_rule, error=report.error,
-                           iteration=index,
-                           recovery="checkpoint" if snapshot is not None
-                           else "rebuild")
-                if snapshot is not None:
-                    egraph.restore_from(snapshot)
-                else:
-                    egraph.rebuild()
+                           iteration=index)
+                egraph.rebuild()
                 if not self.catch_errors:
                     raise
                 break
@@ -441,13 +426,6 @@ class Runner:
                 )
             )
             self._observe_iteration(session, report.iterations[-1])
-            if snapshot is not None and (index + 1) % self.checkpoint_stride == 0:
-                # Checkpoint the consistent post-rebuild state; an
-                # error in a later iteration rolls back to here.  With
-                # a stride > 1 the copy is amortized over several
-                # iterations -- rollback then loses at most
-                # ``checkpoint_stride - 1`` iterations of work.
-                snapshot = egraph.copy()
             if self.persist is not None and (index + 1) % self.checkpoint_stride == 0:
                 self._persist_state(
                     egraph, report, scheduler, applied_keys, index + 1, session
@@ -501,7 +479,6 @@ class Runner:
         self,
         egraph: EGraph,
         report: RunReport,
-        snapshot: Optional[EGraph],
         exc: Exception,
     ) -> None:
         """Last-resort recovery for exceptions escaping the per-phase
@@ -510,13 +487,10 @@ class Runner:
             report.stop_reason = StopReason.ERROR
             report.error = f"{type(exc).__name__}: {exc}"
         self._emit(current_session(), "runner_crash", error=report.error)
-        if snapshot is not None:
-            egraph.restore_from(snapshot)
-        else:
-            try:
-                egraph.rebuild()
-            except Exception:  # pragma: no cover - graph beyond repair
-                pass
+        try:
+            egraph.rebuild()
+        except Exception:  # pragma: no cover - graph beyond repair
+            pass
 
     def _finish(
         self,

@@ -140,10 +140,9 @@ def compile_kernel_resilient(
             failure = exc
         if is_resource_failure(failure):
             retried = True
+            half = budget.options().scaled(0.5)
             smaller = replace(
-                budget,
-                seconds=max(0.25, budget.seconds / 2),
-                node_limit=max(1_000, budget.node_limit // 2),
+                budget, seconds=half.time_limit, node_limit=half.node_limit
             )
             try:
                 return compile_kernel_with_budget(kernel, smaller, **overrides)

@@ -24,6 +24,11 @@ from a different phase, round, or plan -- restoring the uninterrupted
 trajectory byte-identically (asserted by ``tests/test_phase_resume.py``
 and the ``phase.saturate:sigkill`` chaos cell).
 
+Deadline: ``options.deadline`` bounds the whole plan.  Each round's
+time limit is clamped to the residual budget, and once the deadline
+has passed no further round or phase starts; the merged report then
+stops on ``time_limit``, so the result counts as timed out.
+
 Observability: each phase runs under a ``phase`` span, emits
 ``phase_start`` / ``phase_round`` / ``phase_done`` flight-recorder
 events, and samples ``repro_phase_seconds`` / ``repro_phase_rounds_total``
@@ -183,7 +188,12 @@ class PlanReport:
             parts.append(
                 f"{phase.name}[{len(phase.rounds)}r {phase.peak_version}n {mark}]"
             )
-        status = "ok" if self.completed else f"failed@{self.failed_phase}"
+        if self.completed:
+            status = "ok"
+        elif self.failed_phase is None:
+            status = "cut by deadline"
+        else:
+            status = f"failed@{self.failed_phase}"
         return f"{self.plan_name}: {' -> '.join(parts)} ({status})"
 
 
@@ -218,9 +228,7 @@ def _phase_rules(options, phase: Phase):
     compile's own family switches still honoured."""
     return build_ruleset(
         width=options.vector_width,
-        enable_scalar=options.enable_scalar_rules,
         enable_vector=options.enable_vector_rules,
-        enable_ac=options.enable_ac_rules,
         extra_rules=list(options.extra_rules),
         only_tags=phase.rule_tags if phase.rule_tags else None,
     )
@@ -288,13 +296,18 @@ def execute_plan(
 
     term = spec.term
     last_good: Optional[Term] = None
-    egraph = EGraph(constant_folding=options.enable_constant_folding)
+    egraph = EGraph()
     root = egraph.add_term(spec.term)
     merged.seed_version = egraph.version
     failed = False
     failure = ""
+    cut = False
 
     for index, phase in enumerate(plan.phases):
+        if _deadline_passed(options):
+            # The deadline bounds the whole plan, not each round.
+            cut = True
+            break
         with span(
             "phase", kernel=spec.name, phase=phase.name, index=index
         ) as phase_span:
@@ -307,7 +320,7 @@ def execute_plan(
                     plan=plan.name,
                     seed_size=len(term.args) if term.args else 1,
                 )
-            phase_report, term, egraph, root, crash = _run_phase(
+            phase_report, term, egraph, root, crash, cut = _run_phase(
                 spec, options, fingerprint, index, phase, term, base_cost,
                 store, merged, session,
             )
@@ -365,8 +378,10 @@ def execute_plan(
                 break
             last_good = term
 
+    if cut:
+        merged.stop_reason = StopReason.TIME_LIMIT
     plan_report.total_time = time.perf_counter() - start
-    plan_report.completed = not failed
+    plan_report.completed = not failed and not cut
     merged.total_time = plan_report.total_time
     merged.nodes = egraph.num_nodes
     merged.classes = egraph.num_classes
@@ -403,10 +418,11 @@ def _run_phase(
     store,
     merged: RunReport,
     session,
-) -> Tuple[PhaseReport, Term, EGraph, int, Optional[str]]:
+) -> Tuple[PhaseReport, Term, EGraph, int, Optional[str], bool]:
     """Run one phase (all its extend rounds).  Returns the phase
-    report, the boundary term, the final round's graph and root, and a
-    crash description (``None`` on success)."""
+    report, the boundary term, the final round's graph and root, a
+    crash description (``None`` on success), and whether the deadline
+    cut off a further round."""
     rules = _phase_rules(options, phase)
     cost = biased_cost(base_cost, phase.sketch)
     report = PhaseReport(name=phase.name, index=index)
@@ -415,16 +431,20 @@ def _run_phase(
     max_rounds = phase.extend_limit if phase.on_miss == "extend" else 1
     carried: Optional[Dict[str, RuleStats]] = None
     prev_iterations = 0
-    egraph = EGraph(constant_folding=options.enable_constant_folding)
+    egraph = EGraph()
     root = egraph.add_term(term)
     crash: Optional[str] = None
     extraction = None
     score = 1.0
+    cut = False
 
     node_limit = phase.resolve_node_limit(egraph.version)
     for round_index in range(max_rounds):
         if round_index > 0:
-            egraph = EGraph(constant_folding=options.enable_constant_folding)
+            if _deadline_passed(options):
+                cut = True
+                break
+            egraph = EGraph()
             root = egraph.add_term(term)
         seed_version = egraph.version
         # The budget is resolved once, from the phase's *first* seed,
@@ -434,9 +454,7 @@ def _run_phase(
         # relative headroom -- that monotonically increasing slack is
         # what makes the extend loop converge.
         scheduler = BackoffScheduler(
-            match_limit=options.match_limit,
-            incremental=options.incremental_matching,
-            rescan_stride=options.rescan_stride,
+            match_limit=options.match_limit, incremental=True
         )
         baseline: Dict[str, RuleStats] = {}
         if carried is not None:
@@ -461,17 +479,10 @@ def _run_phase(
             rules,
             iter_limit=phase.iter_limit,
             node_limit=node_limit,
-            time_limit=(
-                phase.time_limit
-                if phase.time_limit is not None
-                else options.time_limit
-            ),
+            time_limit=_round_time_limit(phase, options),
             match_limit=options.match_limit,
             scheduler=scheduler,
-            checkpoint=options.checkpoint_egraph,
             checkpoint_stride=options.checkpoint_stride,
-            incremental=options.incremental_matching,
-            rescan_stride=options.rescan_stride,
             catch_errors=True,
             persist=persist,
         )
@@ -541,4 +552,18 @@ def _run_phase(
         report.outcome = (
             "failed" if phase.on_miss == "fail" else "accepted-miss"
         )
-    return report, term, egraph, root, crash
+    return report, term, egraph, root, crash, cut
+
+
+def _deadline_passed(options) -> bool:
+    return options.deadline is not None and time.time() >= options.deadline
+
+
+def _round_time_limit(phase: Phase, options) -> Optional[float]:
+    """One round's saturation budget: the phase's own limit, else the
+    compile's, clamped to what is left before ``options.deadline``."""
+    limit = phase.time_limit if phase.time_limit is not None else options.time_limit
+    if options.deadline is None:
+        return limit
+    residual = max(0.0, options.deadline - time.time())
+    return residual if limit is None else min(limit, residual)

@@ -112,10 +112,10 @@ def spec_fingerprint(spec: "Spec") -> str:
 def options_fingerprint(options: "CompileOptions") -> str:
     """Digest of the semantically relevant compile options.
 
-    ``track_memory`` and ``checkpoint_egraph`` change observability and
-    recovery strategy, not the produced artifact, but they do change
-    the *diagnostics* we persist -- include everything except the
-    unhashable rule objects, which contribute their names.
+    ``track_memory`` changes observability, not the produced artifact,
+    but it does change the *diagnostics* we persist -- include
+    everything except the unhashable rule objects, which contribute
+    their names.
 
     ``checkpoint_dir`` is excluded outright: it names the scratch
     location where crash-recovery state lives, and two compilations
@@ -132,8 +132,6 @@ def options_fingerprint(options: "CompileOptions") -> str:
             continue
         if key == "extra_rules":
             value = [getattr(r, "name", repr(r)) for r in value]
-        elif key == "cost_config":
-            value = repr(value)
         payload[key] = value
     text = json.dumps(payload, sort_keys=True, default=repr)
     return hashlib.sha256(text.encode()).hexdigest()

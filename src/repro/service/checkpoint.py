@@ -70,7 +70,6 @@ _KEY_EXCLUDED = (
     "checkpoint_dir",
     "deadline",
     "validate",
-    "validation_retry_trials",
     "track_memory",
 )
 
@@ -284,8 +283,6 @@ def saturation_key(spec: "Spec", options: "CompileOptions") -> str:
             continue
         if key == "extra_rules":
             value = [getattr(r, "name", repr(r)) for r in value]
-        elif key == "cost_config":
-            value = repr(value)
         payload[key] = value
     text = json.dumps(payload, sort_keys=True, default=repr)
     joined = "|".join(

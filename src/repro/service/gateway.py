@@ -37,10 +37,11 @@ admission order:
 
 4. **Brownout ladder** -- an EWMA of queue delay drives a stepwise
    degradation: levels 1 and 2 shrink every admitted compile's node
-   and time budgets (0.5x / 0.25x), level 3 stops compiling entirely
-   and serves from the artifact cache only, shedding misses with
-   ``reason="cache-only"``.  Levels step down with 2x hysteresis so
-   the ladder does not flap.
+   and time budgets (0.5x / 0.25x, through
+   :meth:`~repro.compiler.CompileOptions.scaled` and its floors),
+   level 3 stops compiling entirely and serves from the artifact cache
+   only, shedding misses with ``reason="cache-only"``.  Levels step
+   down with 2x hysteresis so the ladder does not flap.
 
 Deadlines ride :attr:`repro.compiler.CompileOptions.deadline`
 (absolute ``time.time()`` scale, fork-safe) end to end: the gateway
@@ -91,8 +92,8 @@ __all__ = [
 #: not scale budgets -- it stops compiling (cache-only mode).
 BROWNOUT_SCALES = (1.0, 0.5, 0.25)
 
-#: Node-limit floor under brownout shrinking (mirrors RetryPolicy).
-_MIN_BROWNOUT_NODES = 1_000
+#: EWMA smoothing of the brownout queue-delay signal.
+_EWMA_ALPHA = 0.2
 
 
 def _count(name: str, help_text: str, **labels: str) -> None:
@@ -173,8 +174,6 @@ class GatewayConfig:
     #: Deadline (seconds from submission) stamped on requests that do
     #: not carry one.  ``None`` = no default deadline.
     default_deadline: Optional[float] = None
-    #: EWMA smoothing for the brownout delay signal.
-    ewma_alpha: float = 0.2
     #: Brownout level i engages when the delay EWMA exceeds
     #: ``codel_target * brownout_factors[i-1]`` and releases below half
     #: that (hysteresis).
@@ -730,9 +729,8 @@ class CompileGateway:
         return True
 
     def _note_delay(self, delay: float) -> None:
-        alpha = self.config.ewma_alpha
         self.stats.queue_delay_ewma = (
-            alpha * delay + (1.0 - alpha) * self.stats.queue_delay_ewma
+            _EWMA_ALPHA * delay + (1.0 - _EWMA_ALPHA) * self.stats.queue_delay_ewma
         )
         level = self.config.brownout_level(
             self.stats.queue_delay_ewma, self.stats.brownout_level
@@ -761,9 +759,4 @@ class CompileGateway:
         scale = BROWNOUT_SCALES[level]
         if scale >= 1.0:
             return options
-        changes: Dict[str, Any] = {
-            "node_limit": max(_MIN_BROWNOUT_NODES, int(options.node_limit * scale))
-        }
-        if options.time_limit is not None:
-            changes["time_limit"] = options.time_limit * scale
-        return dataclasses.replace(options, **changes)
+        return options.scaled(scale)

@@ -149,10 +149,9 @@ class RetryPolicy:
     backoff_factor: float = 2.0
     backoff_jitter: float = 0.25
     #: Budget scale per retry: attempt ``i`` runs at
-    #: ``shrink_factor**i`` of the original time *and* node budgets.
+    #: ``shrink_factor**i`` of the original time *and* node budgets
+    #: (:meth:`CompileOptions.scaled`, with its floors).
     shrink_factor: float = 0.5
-    min_node_limit: int = 1_000
-    min_time_limit: float = 0.25
     #: Failed attempts per kernel before its circuit breaker opens.
     strike_threshold: int = 5
 
@@ -163,20 +162,12 @@ class RetryPolicy:
     def shrunk_options(self, options: CompileOptions, attempt: int) -> CompileOptions:
         if attempt == 0:
             return options
-        factor = self.shrink_factor ** attempt
-        changes: Dict[str, object] = {
-            "node_limit": max(
-                self.min_node_limit, int(options.node_limit * factor)
-            ),
-            # Shift the differential seed so a retried validation does
-            # not replay the exact samples of the failed attempt.
-            "seed": options.seed + attempt,
-        }
-        if options.time_limit is not None:
-            changes["time_limit"] = max(
-                self.min_time_limit, options.time_limit * factor
-            )
-        return dataclasses.replace(options, **changes)
+        # Shift the differential seed so a retried validation does not
+        # replay the exact samples of the failed attempt.
+        return dataclasses.replace(
+            options.scaled(self.shrink_factor ** attempt),
+            seed=options.seed + attempt,
+        )
 
 
 @dataclass
@@ -236,10 +227,8 @@ class CompileService:
         max_workers: Optional[int] = None,
         isolate: bool = True,
         seed: int = 0,
-        cache_degraded: bool = False,
         inject_for: Optional[Dict[str, FaultInjection]] = None,
         checkpoint_dir: Optional[str] = None,
-        breaker_log_limit: int = _BREAKER_LOG_LIMIT,
     ) -> None:
         self.cache = cache
         self.limits = limits or WorkerLimits()
@@ -247,7 +236,6 @@ class CompileService:
         self.max_workers = max_workers or min(4, os.cpu_count() or 1)
         self.isolate = isolate
         self.seed = seed
-        self.cache_degraded = cache_degraded
         #: Test/CLI fault-injection surface: kernel name -> injection,
         #: delivered to that kernel's workers (see service/worker.py).
         self.inject_for = dict(inject_for or {})
@@ -268,7 +256,7 @@ class CompileService:
         #: truncated log leniently.  (The flight-recorder event stream
         #: these transitions also feed is ring-bounded by construction
         #: -- ``FlightRecorder`` uses ``deque(maxlen=...)``.)
-        self.breaker_log: BoundedLog = BoundedLog(breaker_log_limit)
+        self.breaker_log: BoundedLog = BoundedLog(_BREAKER_LOG_LIMIT)
         #: Graceful-drain latch: once set, new compiles are refused with
         #: ShutdownError, in-flight failures stop retrying, and live
         #: workers are killed + reaped by their supervising threads.
@@ -436,12 +424,13 @@ class CompileService:
                     self._strikes[spec.name] = 0
                 result.diagnostics.attempts = attempt + 1
                 if self.cache is not None and key is not None:
-                    # A deadline-clamped compile that timed out produced
-                    # a barely-saturated artifact; the cache key excludes
-                    # the deadline, so caching it would serve the rushed
-                    # result to unconstrained requests.  Skip it.
+                    # Degraded results are never cached.  Neither is a
+                    # deadline-clamped compile that timed out: it produced
+                    # a barely-saturated artifact, and the cache key
+                    # excludes the deadline, so caching it would serve
+                    # the rushed result to unconstrained requests.
                     rushed = options.deadline is not None and result.timed_out
-                    if (self.cache_degraded or not result.degraded) and not rushed:
+                    if not result.degraded and not rushed:
                         self.cache.put(key, result)
                 return result
 

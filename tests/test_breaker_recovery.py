@@ -12,7 +12,7 @@ import dataclasses
 import pytest
 
 from repro.chaos.invariants import check_breaker_log
-from repro.compiler import CompileOptions
+from repro.compiler import MIN_NODE_LIMIT, MIN_TIME_LIMIT, CompileOptions
 from repro.errors import CircuitOpenError, WorkerCrashError
 from repro.frontend.lift import lift
 from repro.service import CompileService, FaultInjection, RetryPolicy
@@ -129,24 +129,24 @@ def test_shrunk_options_respects_documented_floors():
     previous = options
     for attempt in range(1, 12):
         shrunk = policy.shrunk_options(options, attempt)
-        assert shrunk.node_limit >= policy.min_node_limit == 1_000
-        assert shrunk.time_limit >= policy.min_time_limit == 0.25
+        assert shrunk.node_limit >= MIN_NODE_LIMIT == 1_000
+        assert shrunk.time_limit >= MIN_TIME_LIMIT == 0.25
         # monotone non-increasing budgets across attempts
         assert shrunk.node_limit <= previous.node_limit
         assert shrunk.time_limit <= previous.time_limit
         previous = shrunk
     # Deep attempts bottom out exactly at the floors.
     deep = policy.shrunk_options(options, 40)
-    assert deep.node_limit == policy.min_node_limit
-    assert deep.time_limit == policy.min_time_limit
+    assert deep.node_limit == MIN_NODE_LIMIT
+    assert deep.time_limit == MIN_TIME_LIMIT
 
 
 def test_shrunk_options_never_crosses_floor_even_from_tiny_budgets():
     policy = RetryPolicy(shrink_factor=0.1)
     options = dataclasses.replace(FAST, node_limit=1_200, time_limit=0.3)
     shrunk = policy.shrunk_options(options, 1)
-    assert shrunk.node_limit == policy.min_node_limit
-    assert shrunk.time_limit == policy.min_time_limit
+    assert shrunk.node_limit == MIN_NODE_LIMIT
+    assert shrunk.time_limit == MIN_TIME_LIMIT
 
 
 def test_attempt_zero_runs_at_full_budget():

@@ -127,6 +127,37 @@ def test_saturation_key_ignores_shrinkable_budgets():
     assert saturation_key(other_spec, OPTS) != base
 
 
+def test_checkpoint_stride_paces_persisted_checkpoints():
+    """The runner persists every ``checkpoint_stride``-th end-of-iteration
+    state, and only those."""
+    from repro.egraph import EGraph, Runner
+    from repro.kernels import get_kernel
+    from repro.rules import build_ruleset
+
+    class Recorder:
+        def __init__(self):
+            self.saved = []
+
+        def load(self):
+            return None
+
+        def save(self, state):
+            self.saved.append(state.next_iteration)
+            return True
+
+        def delete(self):
+            pass
+
+    egraph = EGraph()
+    egraph.add_term(get_kernel("matmul-2x2-2x2").spec().term)
+    persist = Recorder()
+    report = Runner(
+        build_ruleset(4), iter_limit=8, checkpoint_stride=3, persist=persist
+    ).run(egraph)
+    assert len(report.iterations) >= 6
+    assert persist.saved == list(range(3, len(report.iterations) + 1, 3))
+
+
 def test_checkpoint_store_entries_and_clear(tmp_path):
     store = CheckpointStore(str(tmp_path))
     ckpt = store.checkpointer_for(_axpy2(), OPTS)

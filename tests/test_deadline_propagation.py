@@ -97,6 +97,25 @@ def test_generous_deadline_compiles_normally():
     assert service.stats.deadline_sheds == 0
 
 
+def test_phased_compile_honours_deadline(tmp_path):
+    """A deadline bounds a phased compile as a whole: each round's clock
+    is clamped to the residual budget and no round or phase starts once
+    it has passed.  The rushed result reports a timeout, so the service
+    does not cache it under the deadline-free key."""
+    from repro.kernels import get_kernel
+    from repro.service import ArtifactCache
+
+    spec = get_kernel("2dconv-8x8-4x4").spec()
+    cache = ArtifactCache(str(tmp_path / "cache"))
+    service = CompileService(cache=cache, isolate=False, policy=QUICK)
+    options = CompileOptions(validate=False, deadline=time.time() + 0.2)
+    result = service.compile_spec(spec, options)
+    assert result.phases is not None
+    assert result.timed_out
+    assert result.report.stop_reason == "time_limit"
+    assert cache.stats.stores == 0
+
+
 def test_chaos_stall_surfaces_typed_deadline_error_within_bound():
     """The satellite's chaos case: a 30s injected sleep at the runner's
     iteration seam inside a sandboxed worker, against a ~1.5s deadline.

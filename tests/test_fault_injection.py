@@ -83,14 +83,6 @@ class TestSaturationCrash:
         assert [d.stage for d in result.diagnostics.degradations] == ["saturation"]
         run_and_compare(kernel, result.program)
 
-    def test_searcher_crash_with_checkpoint(self, kernel):
-        options = _options(
-            extra_rules=(_crash_on_second_search(),), checkpoint_egraph=True
-        )
-        result = compile_spec(kernel.spec(), options)
-        assert result.degraded and result.report.errored
-        run_and_compare(kernel, result.program)
-
     def test_applier_crash_yields_correct_kernel(self, kernel):
         options = _options(extra_rules=(_crashing_applier(),))
         result = compile_spec(kernel.spec(), options)
@@ -271,7 +263,7 @@ class TestValidationCrash:
             return real_validate(spec, term, **kwargs)
 
         monkeypatch.setattr(compiler_mod, "validate", flaky_validate)
-        options = _options(validate=True, validation_retry_trials=16)
+        options = _options(validate=True)
         result = compile_spec(kernel.spec(), options)
         assert result.validation is not None
         assert result.validated

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.compiler import CompileOptions
+from repro.compiler import MIN_NODE_LIMIT, MIN_TIME_LIMIT, CompileOptions
 from repro.errors import (
     DeadlineExceededError,
     OverloadError,
@@ -294,7 +294,14 @@ def test_brownout_shrinks_budgets_with_floor():
     gw.stats.brownout_level = 2
     shrunk = gw._apply_brownout(options)
     assert shrunk.time_limit == pytest.approx(4.0 * BROWNOUT_SCALES[2])
-    assert shrunk.node_limit == max(1_000, int(10_000 * BROWNOUT_SCALES[2]))
+    assert shrunk.node_limit == max(
+        MIN_NODE_LIMIT, int(10_000 * BROWNOUT_SCALES[2])
+    )
+    # Tiny budgets bottom out at the shared floors.
+    tiny = CompileOptions(time_limit=0.4, node_limit=1_500, validate=False)
+    floored = gw._apply_brownout(tiny)
+    assert floored.node_limit == MIN_NODE_LIMIT == 1_000
+    assert floored.time_limit == MIN_TIME_LIMIT == 0.25
     gw.stats.brownout_level = 0
     assert gw._apply_brownout(options) is options
 

@@ -314,42 +314,6 @@ def test_deadline_polled_inside_single_class():
     assert not counters.completed
 
 
-def test_checkpoint_stride_rolls_back_to_last_checkpoint():
-    """With a stride > 1 an error rolls back to the most recent
-    checkpoint (losing at most stride-1 iterations, never consistency)."""
-    egraph = EGraph()
-    a = egraph.add(ENode("Symbol", (), "a"))
-    zero = egraph.add(ENode("Num", (), 0))
-    egraph.add(ENode("+", (a, zero)))
-
-    calls = {"n": 0}
-
-    def searcher(eg):
-        calls["n"] += 1
-        if calls["n"] >= 2:
-            def boom(_eg):
-                raise RuntimeError("applier crash")
-
-            return [Match(a, boom, "boom")]
-        return []
-
-    crashing = CustomRewrite("boom", searcher)
-    rules = [rewrite("plus-zero", "(+ ?x 0)", "?x"), crashing]
-    runner = Runner(
-        rules,
-        iter_limit=10,
-        checkpoint=True,
-        checkpoint_stride=3,
-        incremental=False,
-    )
-    report = runner.run(egraph)
-    assert report.errored
-    # The graph is consistent after rollback.
-    assert egraph.num_nodes == egraph.recount_nodes()
-    egraph.rebuild()
-    assert egraph.num_nodes == egraph.recount_nodes()
-
-
 def test_old_style_custom_searchers_keep_working():
     """One-argument custom searchers (no SearchContext) full-scan and
     still participate in incremental runs unchanged."""

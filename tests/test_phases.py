@@ -296,3 +296,14 @@ def test_phased_compile_is_hashseed_independent():
         "phased compilation output depends on PYTHONHASHSEED; phase "
         "checkpoints would not resume across machines"
     )
+
+
+def test_phase_rounds_keep_dirty_set_matching():
+    """Each round's scheduler searches incrementally, like a monolithic
+    run: a full rescan every iteration would emit the same program, so
+    only the matcher counters can tell."""
+    spec = get_kernel("2dconv-3x3-2x2").spec()
+    options = CompileOptions(time_limit=None, validate=False, phases="on",
+                             seed=0)
+    report = compile_spec(spec, options).report
+    assert sum(s.classes_skipped for s in report.rule_stats.values()) > 0

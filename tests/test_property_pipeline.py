@@ -96,11 +96,9 @@ class TestPipelineSemantics:
     @given(_specs)
     @settings(max_examples=15, deadline=None)
     def test_lvn_preserves_semantics(self, spec):
-        from dataclasses import replace
-
-        raw = compile_spec(spec, replace(_OPTIONS, run_lvn=False))
-        opt = compile_spec(spec, _OPTIONS)
-        assert simulate(raw.program, _ENV).output("out") == simulate(
-            opt.program, _ENV
+        result = compile_spec(spec, _OPTIONS)
+        raw, opt = result.program_unoptimized, result.program
+        assert simulate(raw, _ENV).output("out") == simulate(
+            opt, _ENV
         ).output("out")
-        assert len(opt.program) <= len(raw.program)
+        assert len(opt) <= len(raw)

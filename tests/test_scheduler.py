@@ -277,18 +277,6 @@ class TestRunnerErrorRecovery:
         # Iteration 0's union survived the iteration-1 crash.
         assert eg.equiv(parse("(+ x 0)"), parse("x"))
 
-    def test_searcher_crash_with_checkpoint(self):
-        eg = EGraph()
-        root = eg.add_term(parse("(+ x 0)"))
-        report = Runner(
-            [rewrite("add-0", "(+ ?a 0)", "?a"), self._crash_on_second_search()],
-            checkpoint=True,
-        ).run(eg)
-        assert report.stop_reason == StopReason.ERROR
-        # The in-place restore keeps caller-held ids valid.
-        assert eg.find(root) == eg.find(eg.add_term(parse("(+ x 0)")))
-        assert eg.equiv(parse("(+ x 0)"), parse("x"))
-
     def test_applier_crash_rebuilds_consistent_graph(self):
         eg = EGraph()
         cid = eg.add_term(parse("(+ x 0)"))

@@ -14,7 +14,12 @@ import time
 import pytest
 
 from tests.conftest import run_and_compare
-from repro.compiler import CompileOptions, compile_spec
+from repro.compiler import (
+    MIN_NODE_LIMIT,
+    MIN_TIME_LIMIT,
+    CompileOptions,
+    compile_spec,
+)
 from repro.errors import (
     CircuitOpenError,
     CompileError,
@@ -146,8 +151,8 @@ class TestFaultContainment:
     def test_shrink_respects_floors(self):
         options = CompileOptions(time_limit=0.4, node_limit=1_500)
         shrunk = QUICK_RETRY.shrunk_options(options, attempt=3)
-        assert shrunk.node_limit == QUICK_RETRY.min_node_limit
-        assert shrunk.time_limit == QUICK_RETRY.min_time_limit
+        assert shrunk.node_limit == MIN_NODE_LIMIT == 1_000
+        assert shrunk.time_limit == MIN_TIME_LIMIT == 0.25
 
     def test_backoff_is_jittered_exponential(self):
         import random
