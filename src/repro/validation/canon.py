@@ -17,7 +17,8 @@ are the same atom, while nothing is assumed about sqrt beyond
 congruence (exactly the paper's treatment of user-defined functions as
 uninterpreted).
 
-Polynomials carry exact :class:`fractions.Fraction` coefficients, so
+Polynomials carry exact coefficients (integers, and
+:class:`fractions.Fraction` only where a value is not integral), so
 there is no numeric error in the procedure itself.  Expression swell is
 real (the paper's QR 4x4 spec is hundreds of MB); :data:`CanonLimits`
 bounds the work and :class:`CanonOverflow` signals the validator to
@@ -89,40 +90,64 @@ Atom = Tuple
 #: a sorted tuple of (atom, power) pairs so it hashes.
 Monomial = Tuple[Tuple[Atom, int], ...]
 
+#: An exact coefficient: an ``int`` whenever the value is integral, a
+#: ``Fraction`` otherwise (only non-integral float literals and the
+#: normalization in :meth:`Rational.key` introduce one).  Equal values
+#: compare and hash equal across the two types, so keys built from
+#: either agree.
+Coeff = Union[int, Fraction]
+
 _EMPTY_MONOMIAL: Monomial = ()
 
 
+def _exact(value: Union[int, float, Fraction]) -> Coeff:
+    """``value`` as an ``int`` when it is integral, else a ``Fraction``."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 class Poly:
-    """A multivariate polynomial with Fraction coefficients."""
+    """A multivariate polynomial with exact coefficients (see
+    :data:`Coeff`; zero coefficients are never stored).
 
-    __slots__ = ("terms",)
+    A ``Poly`` is never mutated after construction: multiplying by one
+    returns the operand itself, and one shared constant-one ``Poly`` is
+    the denominator of every polynomial term.
+    """
 
-    def __init__(self, terms: Dict[Monomial, Fraction] = None) -> None:
-        self.terms: Dict[Monomial, Fraction] = {}
+    __slots__ = ("terms", "width")
+
+    def __init__(self, terms: Dict[Monomial, Coeff] = None) -> None:
+        self.terms: Dict[Monomial, Coeff] = {}
         if terms:
             for mono, coeff in terms.items():
                 if coeff != 0:
-                    self.terms[mono] = coeff
+                    self.terms[mono] = _exact(coeff)
+        #: Total number of atoms over all monomials, which the work
+        #: accounting of :meth:`mul` charges per product row.
+        self.width = sum(map(len, self.terms))
 
     # Constructors -----------------------------------------------------
 
     @staticmethod
     def constant(value: Union[int, float, Fraction]) -> "Poly":
-        coeff = Fraction(value) if not isinstance(value, Fraction) else value
-        return Poly({_EMPTY_MONOMIAL: coeff}) if coeff != 0 else Poly()
+        coeff = _exact(value)
+        return _poly({_EMPTY_MONOMIAL: coeff}, 0) if coeff != 0 else Poly()
 
     @staticmethod
     def atom(a: Atom) -> "Poly":
-        return Poly({((a, 1),): Fraction(1)})
+        return _poly({((a, 1),): 1}, 1)
 
     # Queries ----------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def as_constant(self) -> Union[Fraction, None]:
+    def as_constant(self) -> Union[Coeff, None]:
         if not self.terms:
-            return Fraction(0)
+            return 0
         if len(self.terms) == 1 and _EMPTY_MONOMIAL in self.terms:
             return self.terms[_EMPTY_MONOMIAL]
         return None
@@ -147,51 +172,100 @@ class Poly:
     def add(self, other: "Poly", limits: CanonLimits, work: "_Work" = None) -> "Poly":
         if work is not None:
             work.charge(len(other.terms))
-        result = dict(self.terms)
+        terms = dict(self.terms)
+        width = self.width
+        get = terms.get
         for mono, coeff in other.terms.items():
-            new = result.get(mono, Fraction(0)) + coeff
-            if new == 0:
-                result.pop(mono, None)
+            old = get(mono)
+            if old is None:
+                terms[mono] = coeff
+                width += len(mono)
+                continue
+            new = old + coeff
+            if new:
+                terms[mono] = new if type(new) is int else _exact(new)
             else:
-                result[mono] = new
-        _check(result, limits)
-        out = Poly()
-        out.terms = result
-        return out
+                del terms[mono]
+                width -= len(mono)
+        _check(terms, limits)
+        return _poly(terms, width)
 
     def neg(self) -> "Poly":
-        out = Poly()
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return _poly({m: -c for m, c in self.terms.items()}, self.width)
 
     def mul(self, other: "Poly", limits: CanonLimits, work: "_Work" = None) -> "Poly":
-        result: Dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                if work is not None:
-                    # Charge by actual monomial width: giant nested
-                    # atom keys make each product expensive.
-                    work.charge(1 + len(m1) + len(m2))
-                mono = _mul_monomials(m1, m2)
-                new = result.get(mono, Fraction(0)) + c1 * c2
-                if new == 0:
-                    result.pop(mono, None)
-                else:
-                    result[mono] = new
-            _check(result, limits)
-        out = Poly()
-        out.terms = result
-        return out
+        # Every product of monomials m1*m2 is charged 1 + len(m1) +
+        # len(m2): giant nested atom keys make each product expensive.
+        # The charge decides which lanes fall back to randomized
+        # validation, so the constant fast path below charges exactly
+        # what the pairwise loop would: len(P) + sum of len(m) over P.
+        a, b = self.terms, other.terms
+        if len(b) == 1 and _EMPTY_MONOMIAL in b:
+            poly, factor = self, b[_EMPTY_MONOMIAL]
+        elif len(a) == 1 and _EMPTY_MONOMIAL in a:
+            poly, factor = other, a[_EMPTY_MONOMIAL]
+        else:
+            return self._mul_pairwise(other, limits, work)
+        if work is not None:
+            work.charge(len(poly.terms) + poly.width)
+        _check(poly.terms, limits)
+        return poly if factor == 1 else poly.scale(factor)
 
-    def scale(self, factor: Fraction) -> "Poly":
+    def _mul_pairwise(
+        self, other: "Poly", limits: CanonLimits, work: "_Work"
+    ) -> "Poly":
+        a, b = self.terms, other.terms
+        if work is not None:
+            work.charge(
+                len(a) * len(b) + len(b) * self.width + len(a) * other.width
+            )
+        terms: Dict[Monomial, Coeff] = {}
+        width = 0
+        get = terms.get
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                mono = _mul_monomials(m1, m2)
+                coeff = c1 * c2
+                if type(coeff) is not int:
+                    coeff = _exact(coeff)
+                old = get(mono)
+                if old is None:
+                    terms[mono] = coeff
+                    width += len(mono)
+                    continue
+                new = old + coeff
+                if new:
+                    terms[mono] = new if type(new) is int else _exact(new)
+                else:
+                    del terms[mono]
+                    width -= len(mono)
+            _check(terms, limits)
+        return _poly(terms, width)
+
+    def scale(self, factor: Coeff) -> "Poly":
         if factor == 0:
             return Poly()
-        out = Poly()
-        out.terms = {m: c * factor for m, c in self.terms.items()}
-        return out
+        terms: Dict[Monomial, Coeff] = {}
+        for mono, coeff in self.terms.items():
+            new = coeff * factor
+            terms[mono] = new if type(new) is int else _exact(new)
+        return _poly(terms, self.width)
 
 
-def _check(terms: Dict[Monomial, Fraction], limits: CanonLimits) -> None:
+def _poly(terms: Dict[Monomial, Coeff], width: int) -> Poly:
+    """Wrap an already-normalized term dict and its width without
+    copying them."""
+    out = Poly.__new__(Poly)
+    out.terms = terms
+    out.width = width
+    return out
+
+
+#: The shared constant one: every denominator of a polynomial term.
+_ONE = _poly({_EMPTY_MONOMIAL: 1}, 0)
+
+
+def _check(terms: Dict[Monomial, Coeff], limits: CanonLimits) -> None:
     if len(terms) > limits.max_terms:
         raise CanonOverflow(
             f"polynomial exceeded {limits.max_terms} monomials; "
@@ -200,10 +274,30 @@ def _check(terms: Dict[Monomial, Fraction], limits: CanonLimits) -> None:
 
 
 def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
-    powers: Dict[Atom, int] = dict(a)
-    for atom, power in b:
-        powers[atom] = powers.get(atom, 0) + power
-    return tuple(sorted(powers.items()))
+    """The product of two monomials: a merge of the two sorted tuples,
+    adding the powers of shared atoms."""
+    if not a:
+        return b
+    if not b:
+        return a
+    merged = []
+    i = j = 0
+    len_a, len_b = len(a), len(b)
+    while i < len_a and j < len_b:
+        x, y = a[i], b[j]
+        if x[0] == y[0]:
+            merged.append((x[0], x[1] + y[1]))
+            i += 1
+            j += 1
+        elif x[0] < y[0]:
+            merged.append(x)
+            i += 1
+        else:
+            merged.append(y)
+            j += 1
+    merged.extend(a[i:])
+    merged.extend(b[j:])
+    return tuple(merged)
 
 
 @dataclass
@@ -221,7 +315,10 @@ class Rational:
         if not den_key:
             raise ZeroDivisionError("rational function with zero denominator")
         lead = den_key[0][1]
-        return (self.num.scale(1 / lead).key(), self.den.scale(1 / lead).key())
+        if lead == 1:
+            return (self.num.key(), den_key)
+        inverse = 1 / Fraction(lead)
+        return (self.num.scale(inverse).key(), self.den.scale(inverse).key())
 
 
 def canonicalize(term: Term, limits: CanonLimits = None) -> Rational:
@@ -251,25 +348,24 @@ def _canonicalize_with(term: Term, limits: CanonLimits, work: "_Work") -> Ration
 
 
 def _canon_node(t: Term, go, limits: CanonLimits, work: "_Work") -> Rational:
-    one = Poly.constant(1)
     op = t.op
     if op == "Num":
-        return Rational(Poly.constant(t.value), one)  # type: ignore[arg-type]
+        return Rational(Poly.constant(t.value), _ONE)  # type: ignore[arg-type]
     if op == "Symbol":
-        return Rational(Poly.atom(("sym", str(t.value))), one)
+        return Rational(Poly.atom(("sym", str(t.value))), _ONE)
     if op == "Get":
         array, index = t.args
         if array.op != "Symbol" or index.op != "Num":
             raise ValueError(f"non-canonical Get: {t}")
         return Rational(
-            Poly.atom(("get", str(array.value), int(index.value))), one  # type: ignore[arg-type]
+            Poly.atom(("get", str(array.value), int(index.value))), _ONE  # type: ignore[arg-type]
         )
     if op in ("sqrt", "sgn"):
         arg = go(t.args[0])
-        return Rational(Poly.atom((op, _atom_key(arg, limits))), one)
+        return Rational(Poly.atom((op, _atom_key(arg, limits))), _ONE)
     if op == "Call":
         args = tuple(_atom_key(go(a), limits) for a in t.args)
-        return Rational(Poly.atom(("call", str(t.value), args)), one)
+        return Rational(Poly.atom(("call", str(t.value), args)), _ONE)
     if op == "neg":
         a = go(t.args[0])
         return Rational(a.num.neg(), a.den)

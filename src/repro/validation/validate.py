@@ -24,19 +24,23 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..chaos.inject import chaos_point
-from ..dsl.ast import Term, unique_size
+from ..dsl.ast import Term
 from ..dsl.interp import evaluate_output
-
-#: Lanes with more unique nodes than this skip the canonical decision
-#: procedure (polynomial expansion would overflow anyway).
-_CANON_SIZE_GATE = 200
 from ..frontend.lift import Spec, random_inputs
 from .canon import CanonLimits, CanonOverflow, equivalent
 
 __all__ = ["flatten_to_scalars", "ValidationResult", "LaneResult", "validate"]
+
+#: Lanes with more unique nodes than this skip the canonical decision
+#: procedure (polynomial expansion would overflow anyway).
+_CANON_SIZE_GATE = 200
+
+_VEC_BINARY = {"VecAdd": "+", "VecMinus": "-", "VecMul": "*", "VecDiv": "/"}
+_VEC_UNARY = {"VecNeg": "neg", "VecSqrt": "sqrt", "VecSgn": "sgn"}
+_VECTOR_SHAPED = ("List", "Concat", "Vec", "VecMAC", *_VEC_BINARY, *_VEC_UNARY)
 
 
 def flatten_to_scalars(term: Term) -> List[Term]:
@@ -44,37 +48,50 @@ def flatten_to_scalars(term: Term) -> List[Term]:
 
     This is symbolic evaluation of the *vector structure only*: vector
     operators distribute over lanes, ``Concat`` concatenates, ``List``
-    flattens.  Scalar subterms pass through untouched.
+    flattens.  Scalar subterms pass through untouched.  Each distinct
+    vector subterm is unfolded once, so lanes derived from a shared
+    sub-vector are the same objects.
     """
+    return list(_flatten(term, {}))
+
+
+def _flatten(term: Term, memo: Dict[Term, List[Term]]) -> List[Term]:
+    """``flatten_to_scalars`` over a memo shared by the whole DAG; the
+    returned lists are shared too and must not be mutated."""
     op = term.op
-    if op == "List":
-        lanes: List[Term] = []
-        for item in term.args:
-            lanes.extend(flatten_to_scalars(item))
+    if op not in _VECTOR_SHAPED:
+        # A scalar expression is a single lane.
+        return [term]
+    lanes = memo.get(term)
+    if lanes is not None:
         return lanes
-    if op == "Concat":
-        return flatten_to_scalars(term.args[0]) + flatten_to_scalars(term.args[1])
-    if op == "Vec":
-        return list(term.args)
-    if op in ("VecAdd", "VecMinus", "VecMul", "VecDiv"):
-        scalar_op = {"VecAdd": "+", "VecMinus": "-", "VecMul": "*", "VecDiv": "/"}[op]
-        left = flatten_to_scalars(term.args[0])
-        right = flatten_to_scalars(term.args[1])
+    if op == "List":
+        lanes = []
+        for item in term.args:
+            lanes.extend(_flatten(item, memo))
+    elif op == "Concat":
+        lanes = _flatten(term.args[0], memo) + _flatten(term.args[1], memo)
+    elif op == "Vec":
+        lanes = list(term.args)
+    elif op in _VEC_BINARY:
+        scalar_op = _VEC_BINARY[op]
+        left = _flatten(term.args[0], memo)
+        right = _flatten(term.args[1], memo)
         if len(left) != len(right):
             raise ValueError(f"lane mismatch in {op}: {len(left)} vs {len(right)}")
-        return [Term(scalar_op, (a, b)) for a, b in zip(left, right)]
-    if op == "VecMAC":
-        acc = flatten_to_scalars(term.args[0])
-        a = flatten_to_scalars(term.args[1])
-        b = flatten_to_scalars(term.args[2])
+        lanes = [Term(scalar_op, (a, b)) for a, b in zip(left, right)]
+    elif op == "VecMAC":
+        acc = _flatten(term.args[0], memo)
+        a = _flatten(term.args[1], memo)
+        b = _flatten(term.args[2], memo)
         if not len(acc) == len(a) == len(b):
             raise ValueError("lane mismatch in VecMAC")
-        return [Term("+", (c, Term("*", (x, y)))) for c, x, y in zip(acc, a, b)]
-    if op in ("VecNeg", "VecSqrt", "VecSgn"):
-        scalar_op = {"VecNeg": "neg", "VecSqrt": "sqrt", "VecSgn": "sgn"}[op]
-        return [Term(scalar_op, (a,)) for a in flatten_to_scalars(term.args[0])]
-    # A scalar expression is a single lane.
-    return [term]
+        lanes = [Term("+", (c, Term("*", (x, y)))) for c, x, y in zip(acc, a, b)]
+    else:
+        scalar_op = _VEC_UNARY[op]
+        lanes = [Term(scalar_op, (a,)) for a in _flatten(term.args[0], memo)]
+    memo[term] = lanes
+    return lanes
 
 
 @dataclass
@@ -191,15 +208,13 @@ def _validate_lane(
     chaos_point("validate.lane")
     if spec_lane == opt_lane:
         return LaneResult(index, True, "structural")
-    has_calls = _contains_call(spec_lane) or _contains_call(opt_lane)
+    spec_size, spec_calls, spec_irrational = _scan(spec_lane)
+    opt_size, opt_calls, opt_irrational = _scan(opt_lane)
     # Deep DAGs (QR-style kernels) explode under polynomial expansion;
     # skip straight to randomized testing rather than burn the canon
     # work budget lane after lane.
-    too_deep = (
-        unique_size(spec_lane) > _CANON_SIZE_GATE
-        or unique_size(opt_lane) > _CANON_SIZE_GATE
-    )
-    if not has_calls and not too_deep:
+    too_deep = spec_size > _CANON_SIZE_GATE or opt_size > _CANON_SIZE_GATE
+    if not (spec_calls or opt_calls) and not too_deep:
         try:
             if equivalent(spec_lane, opt_lane, limits):
                 return LaneResult(index, True, "canonical")
@@ -209,7 +224,7 @@ def _validate_lane(
             # equal-but-differently-written arguments yield distinct
             # atoms (incompleteness, not unsoundness).  Fall back to
             # randomized testing in that case.
-            if not (_contains_irrational(spec_lane) or _contains_irrational(opt_lane)):
+            if not (spec_irrational or opt_irrational):
                 return LaneResult(
                     index, False, "canonical", "canonical forms differ"
                 )
@@ -217,18 +232,21 @@ def _validate_lane(
             pass  # fall through to randomized testing
         except ZeroDivisionError as exc:
             return LaneResult(index, False, "canonical", str(exc))
-    return _random_lane(index, spec_lane, opt_lane, envs, tolerance, funcs)
+    return _random_lane(
+        index, spec_lane, opt_lane, spec_calls, envs, tolerance, funcs
+    )
 
 
 def _random_lane(
     index: int,
     spec_lane: Term,
     opt_lane: Term,
+    spec_calls: bool,
     envs: Sequence[Mapping[str, Sequence[float]]],
     tolerance: float,
     funcs: Mapping[str, Callable[..., float]],
 ) -> LaneResult:
-    if _contains_call(spec_lane) and not funcs:
+    if spec_calls and not funcs:
         # Mirrors the paper: uninterpreted calls with no user-provided
         # semantics can cause spurious failures, so we refuse to claim
         # success and report the situation instead.
@@ -239,6 +257,7 @@ def _random_lane(
             "lane uses uninterpreted functions and no concrete semantics "
             "were provided (see paper Section 3.4)",
         )
+    checked = 0
     for env in envs:
         try:
             expected = evaluate_output(spec_lane, env, funcs)[0]
@@ -247,6 +266,7 @@ def _random_lane(
             # A randomly-invalid input (negative sqrt, zero divisor):
             # skip the sample rather than mis-reporting.
             continue
+        checked += 1
         scale = max(1.0, abs(expected))
         if abs(expected - actual) > tolerance * scale:
             return LaneResult(
@@ -255,29 +275,38 @@ def _random_lane(
                 "random",
                 f"mismatch: expected {expected!r}, got {actual!r}",
             )
+    if not checked:
+        # Passing a lane on zero evaluations would accept any program.
+        return LaneResult(
+            index,
+            False,
+            "random",
+            f"none of the {len(envs)} random samples is inside the lane's "
+            "domain; nothing was checked",
+        )
     return LaneResult(index, True, "random")
 
 
-def _contains_call(term: Term) -> bool:
-    return _contains_op(term, ("Call",))
-
-
-def _contains_irrational(term: Term) -> bool:
-    """True when the lane contains operators outside the rational
-    fragment (sqrt/sgn), for which the canonicalizer is sound but
-    incomplete."""
-    return _contains_op(term, ("sqrt", "sgn"))
-
-
-def _contains_op(term: Term, ops) -> bool:
+def _scan(term: Term) -> Tuple[int, bool, bool]:
+    """One walk over a lane's DAG: its number of unique subterms (as
+    ``unique_size`` counts them), whether it contains an uninterpreted
+    ``Call``, and whether it contains ``sqrt``/``sgn``, operators
+    outside the rational fragment, for which the canonicalizer is sound
+    but incomplete."""
     seen = set()
     stack = [term]
+    calls = irrational = False
     while stack:
         t = stack.pop()
-        if t in seen:
-            continue
+        # One hash per visit: adding a seen term leaves the size as is.
+        size = len(seen)
         seen.add(t)
-        if t.op in ops:
-            return True
+        if len(seen) == size:
+            continue
+        op = t.op
+        if op == "Call":
+            calls = True
+        elif op == "sqrt" or op == "sgn":
+            irrational = True
         stack.extend(t.args)
-    return False
+    return len(seen), calls, irrational
