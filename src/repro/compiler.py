@@ -36,6 +36,9 @@ instead of degradation.
 from __future__ import annotations
 
 import dataclasses
+import gc
+import os
+import threading
 import time
 import tracemalloc
 from dataclasses import dataclass, field
@@ -102,7 +105,10 @@ class CompileOptions:
     #: Run translation validation on the extracted program.
     validate: bool = True
     #: Record peak memory with tracemalloc (small overhead; Table 1
-    #: wants it, unit tests may turn it off).
+    #: wants it, unit tests may turn it off).  The reported peak is
+    #: the compile's own: traced peak minus the traced size at entry.
+    #: A trace the caller started keeps running, but its peak is reset
+    #: (``tracemalloc.reset_peak``).
     track_memory: bool = False
     #: Candidate selection: additionally extract with the scalar
     #: (term-size) cost model and keep whichever lowered kernel has the
@@ -328,7 +334,68 @@ def compile_spec(spec: Spec, options: Optional[CompileOptions] = None) -> Compil
     and the configured post-mortem directory) -- a failed compile still
     leaves a black box to read.
     """
-    options = options or CompileOptions()
+    with _COLLECTOR_PAUSE:
+        return _compile_spec(spec, options or CompileOptions())
+
+
+class _CollectorPause:
+    """Pauses automatic cyclic garbage collection while any compile in
+    the process runs (DESIGN.md §8, "No reference cycles, no collector
+    passes").
+
+    The compile path frees everything it drops by reference counting,
+    so a collector pass during a compile finds nothing and only costs a
+    walk over the live e-graph.  The pause is process-wide, as the
+    collector's state is, and reentrant: the first entry disables the
+    collector, and the last exit re-enables it only if it was enabled
+    at the first entry, so a caller that disabled it keeps it disabled.
+    A lock makes entries from several threads (a ``compile_many`` pool,
+    the gateway's executor) count as one pause.  A child forked while
+    another thread holds the pause starts with it released and with a
+    fresh lock, since that thread does not exist in the child.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._resume = False
+        os.register_at_fork(
+            before=self._before_fork,
+            after_in_parent=self._after_fork_in_parent,
+            after_in_child=self._after_fork_in_child,
+        )
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                self._resume = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._resume:
+                gc.enable()
+
+    def _before_fork(self) -> None:
+        self._lock.acquire()
+
+    def _after_fork_in_parent(self) -> None:
+        self._lock.release()
+
+    def _after_fork_in_child(self) -> None:
+        self._lock = threading.Lock()
+        if self._depth:
+            self._depth = 0
+            if self._resume:
+                gc.enable()
+
+
+_COLLECTOR_PAUSE = _CollectorPause()
+
+
+def _compile_spec(spec: Spec, options: CompileOptions) -> CompileResult:
     options = _clamp_to_deadline(spec, options)
     obs = options.observability
     if obs is None or not obs.enabled:
@@ -405,8 +472,13 @@ def _compile_pipeline(
 ) -> CompileResult:
     diag = CompileDiagnostics(kernel=spec.name)
     clock = _StageClock(diag)
-    if options.track_memory:
+    own_trace = options.track_memory and not tracemalloc.is_tracing()
+    if own_trace:
         tracemalloc.start()
+    if options.track_memory:
+        # A caller's running trace keeps running; its peak is reset.
+        entry_bytes = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
     start = time.perf_counter()
     try:
         # ------------------------------------------------------ saturation
@@ -437,7 +509,8 @@ def _compile_pipeline(
         compile_time = time.perf_counter() - start
         peak = None
         if options.track_memory:
-            _, peak = tracemalloc.get_traced_memory()
+            # The compile's own peak, net of what was traced at entry.
+            peak = max(0, tracemalloc.get_traced_memory()[1] - entry_bytes)
 
         result = CompileResult(
             spec=spec,
@@ -464,9 +537,9 @@ def _compile_pipeline(
         clock.abort(exc)
         raise
     finally:
-        # The seed version leaked the tracemalloc trace when any stage
-        # raised; stop unconditionally (a no-op when not tracing).
-        if options.track_memory:
+        # Stop only a trace this compile started, also when a stage
+        # raised.
+        if own_trace:
             tracemalloc.stop()
 
 

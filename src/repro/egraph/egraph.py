@@ -396,18 +396,21 @@ class EGraph:
 
     def add_term(self, term: Term) -> int:
         """Insert a whole term bottom-up; returns the root's class id."""
-        cache: Dict[Term, int] = {}
+        return self._add_term(term, {})
 
-        def go(t: Term) -> int:
-            hit = cache.get(t)
-            if hit is not None:
-                return hit
-            children = tuple(go(a) for a in t.args)
-            cid = self.add(ENode(t.op, children, t.value))
-            cache[t] = cid
-            return cid
-
-        return go(term)
+    def _add_term(self, t: Term, cache: Dict[Term, int]) -> int:
+        # Post-order, arguments left to right, memoized by structural
+        # equality: class ids follow this order.  The memo is passed
+        # explicitly; a recursive closure would hold ``self`` in a
+        # reference cycle and leave every dropped graph to the cyclic
+        # collector (DESIGN.md §8).
+        hit = cache.get(t)
+        if hit is not None:
+            return hit
+        children = tuple(self._add_term(a, cache) for a in t.args)
+        cid = self.add(ENode(t.op, children, t.value))
+        cache[t] = cid
+        return cid
 
     def lookup(self, node: ENode) -> Optional[int]:
         """Class id of a canonical e-node, or ``None`` if absent.

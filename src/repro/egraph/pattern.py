@@ -21,7 +21,6 @@ yields, in the same order (see DESIGN.md, "Generated matchers").
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -157,17 +156,17 @@ def pattern(source: Union[str, Term, Pattern]) -> Pattern:
 def pattern_vars(pat: Pattern) -> List[str]:
     """All variable names occurring in the pattern, in first-seen order."""
     seen: List[str] = []
-
-    def go(p: Pattern) -> None:
-        if isinstance(p, PVar):
-            if p.name not in seen:
-                seen.append(p.name)
-        else:
-            for a in p.args:
-                go(a)
-
-    go(pat)
+    _collect_vars(pat, seen)
     return seen
+
+
+def _collect_vars(p: Pattern, seen: List[str]) -> None:
+    if isinstance(p, PVar):
+        if p.name not in seen:
+            seen.append(p.name)
+    else:
+        for a in p.args:
+            _collect_vars(a, seen)
 
 
 def match_in_class(
@@ -267,24 +266,30 @@ def _shape(pat: PNode) -> Tuple[tuple, tuple, Tuple[ENode, ...]]:
     consts: List = []
     names: List[str] = []
     leaves: List[ENode] = []
-
-    def go(p: Pattern, root: bool = False):
-        if isinstance(p, PVar):
-            if p.name not in names:
-                names.append(p.name)
-            return names.index(p.name)
-        if not p.args and not root:
-            leaf = ENode(p.op, (), p.value)
-            if leaf not in leaves:
-                leaves.append(leaf)
-            return f"L{leaves.index(leaf)}"
-        consts.append(p.op)
-        if p.value is not None:
-            consts.append(p.value)
-        return (p.value is None,) + tuple(go(a) for a in p.args)
-
-    shape = go(pat, root=True)
+    shape = _split(pat, consts, names, leaves, root=True)
     return shape, tuple(consts) + tuple(names), tuple(leaves)
+
+
+def _split(
+    p: Pattern, consts: List, names: List[str], leaves: List[ENode],
+    root: bool = False,
+):
+    """One node of :func:`_shape`'s pre-order walk."""
+    if isinstance(p, PVar):
+        if p.name not in names:
+            names.append(p.name)
+        return names.index(p.name)
+    if not p.args and not root:
+        leaf = ENode(p.op, (), p.value)
+        if leaf not in leaves:
+            leaves.append(leaf)
+        return f"L{leaves.index(leaf)}"
+    consts.append(p.op)
+    if p.value is not None:
+        consts.append(p.value)
+    return (p.value is None,) + tuple(
+        _split(a, consts, names, leaves) for a in p.args
+    )
 
 
 def _count_loops(shape) -> int:
@@ -309,82 +314,95 @@ def _shape_matcher(shape: tuple, gated: bool) -> _Matcher:
     fires.  No pattern text enters the source: ops, literals and
     variable names arrive as values in ``consts``.
     """
-    lines: List[str] = []
-    node_consts: List[str] = []
-    ids = itertools.count()
-    leaves: Set[str] = set()
-    bound = [0]
-
-    def emit(depth: int, text: str) -> None:
-        lines.append("    " * depth + text)
-
-    def poll(depth: int) -> None:
-        if gated:
-            emit(depth, "left -= 1")
-            emit(depth, "if not left:")
-            emit(depth + 1, "if expired():")
-            emit(depth + 2, "return False")
-            emit(depth + 1, f"left = {_DeadlineGate._STRIDE}")
-
-    def const() -> str:
-        name = f"K{len(node_consts)}"
-        node_consts.append(name)
-        return name
-
-    def node(shape: tuple, cls: str, depth: int) -> int:
-        """Open the loop over the e-nodes of class ``cls``; return the
-        depth inside it."""
-        i = next(ids)
-        n, x = f"n{i}", f"x{i}"
-        children = shape[1:]
-        emit(depth, f"for {n} in classes[{cls}].nodes:")
-        depth += 1
-        poll(depth)
-        op = const()
-        value = "is not None" if shape[0] else f"!= {const()}"
-        if children:
-            arity = f"len({x} := {n}.children) != {len(children)}"
-        else:
-            arity = f"{n}.children"
-        emit(depth, f"if {n}.op != {op} or {n}.value {value} or {arity}:")
-        emit(depth + 1, "continue")
-        for index, child in enumerate(children):
-            if isinstance(child, tuple):
-                depth = node(child, f"find({x}[{index}])", depth)
-                continue
-            if isinstance(child, str):
-                test = child
-                leaves.add(child)
-            elif child < bound[0]:
-                test = f"v{child}"
-            else:
-                emit(depth, f"v{child} = find({x}[{index}])")
-                bound[0] += 1
-                continue
-            emit(depth, f"if find({x}[{index}]) != {test}:")
-            emit(depth + 1, "continue")
-        return depth
-
-    emit(1, "for c0 in candidates:")
-    depth = node(shape, "c0", 2)
-    subst = ", ".join(f"N{k}: v{k}" for k in range(bound[0]))
-    emit(depth, f"out.append((c0, {{{subst}}}))")
-    poll(2)
-    emit(1, "return True")
+    body = _MatcherBody(gated)
+    body.emit(1, "for c0 in candidates:")
+    depth = body.node(shape, "c0", 2)
+    subst = ", ".join(f"N{k}: v{k}" for k in range(body.bound))
+    body.emit(depth, f"out.append((c0, {{{subst}}}))")
+    body.poll(2)
+    body.emit(1, "return True")
     # Constants arrive as locals, not closure cells: a nested factory
     # nearly doubles the compile time, which every process pays.
-    params = node_consts + [f"N{k}" for k in range(bound[0])]
+    params = body.node_consts + [f"N{k}" for k in range(body.bound)]
     head = [
         "def match(find, classes, candidates, expired, out, leaves, consts):",
         f"    {', '.join(params)}, = consts",
     ]
-    if leaves:
-        head.append(f"    {', '.join(f'L{k}' for k in range(len(leaves)))}, = leaves")
+    if body.leaves:
+        head.append(f"    {', '.join(f'L{k}' for k in range(len(body.leaves)))}, = leaves")
     if gated:
         head.append("    left = 1")
     namespace: Dict[str, object] = {}
-    exec(compile("\n".join(head + lines), "<ematch>", "exec"), namespace)
-    return namespace["match"]  # type: ignore[return-value]
+    exec(compile("\n".join(head + body.lines), "<ematch>", "exec"), namespace)
+    # Popped, so the namespace (the function's globals) does not hold
+    # the function in a cycle once the cache evicts it.
+    return namespace.pop("match")  # type: ignore[return-value]
+
+
+class _MatcherBody:
+    """The loop nest of one generated matcher, written line by line.
+    A class rather than recursive closures, which would form reference
+    cycles that only the cyclic collector frees."""
+
+    def __init__(self, gated: bool) -> None:
+        self.gated = gated
+        self.lines: List[str] = []
+        self.node_consts: List[str] = []
+        self.loops = 0
+        self.leaves: Set[str] = set()
+        #: Variables bound so far: ``v0`` .. ``v{bound - 1}``.
+        self.bound = 0
+
+    def emit(self, depth: int, text: str) -> None:
+        self.lines.append("    " * depth + text)
+
+    def poll(self, depth: int) -> None:
+        if self.gated:
+            self.emit(depth, "left -= 1")
+            self.emit(depth, "if not left:")
+            self.emit(depth + 1, "if expired():")
+            self.emit(depth + 2, "return False")
+            self.emit(depth + 1, f"left = {_DeadlineGate._STRIDE}")
+
+    def const(self) -> str:
+        name = f"K{len(self.node_consts)}"
+        self.node_consts.append(name)
+        return name
+
+    def node(self, shape: tuple, cls: str, depth: int) -> int:
+        """Open the loop over the e-nodes of class ``cls``; return the
+        depth inside it."""
+        i = self.loops
+        self.loops += 1
+        n, x = f"n{i}", f"x{i}"
+        children = shape[1:]
+        self.emit(depth, f"for {n} in classes[{cls}].nodes:")
+        depth += 1
+        self.poll(depth)
+        op = self.const()
+        value = "is not None" if shape[0] else f"!= {self.const()}"
+        if children:
+            arity = f"len({x} := {n}.children) != {len(children)}"
+        else:
+            arity = f"{n}.children"
+        self.emit(depth, f"if {n}.op != {op} or {n}.value {value} or {arity}:")
+        self.emit(depth + 1, "continue")
+        for index, child in enumerate(children):
+            if isinstance(child, tuple):
+                depth = self.node(child, f"find({x}[{index}])", depth)
+                continue
+            if isinstance(child, str):
+                test = child
+                self.leaves.add(child)
+            elif child < self.bound:
+                test = f"v{child}"
+            else:
+                self.emit(depth, f"v{child} = find({x}[{index}])")
+                self.bound += 1
+                continue
+            self.emit(depth, f"if find({x}[{index}]) != {test}:")
+            self.emit(depth + 1, "continue")
+        return depth
 
 
 @functools.lru_cache(maxsize=1024)

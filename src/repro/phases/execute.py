@@ -296,9 +296,8 @@ def execute_plan(
 
     term = spec.term
     last_good: Optional[Term] = None
-    egraph = EGraph()
-    root = egraph.add_term(spec.term)
-    merged.seed_version = egraph.version
+    egraph: Optional[EGraph] = None
+    root = 0
     failed = False
     failure = ""
     cut = False
@@ -325,6 +324,10 @@ def execute_plan(
                 store, merged, session,
             )
             plan_report.phases.append(phase_report)
+            if index == 0:
+                # Phase 1's first round seeded ``spec.term`` into a
+                # fresh graph: the plan's own seed.
+                merged.seed_version = phase_report.rounds[0].seed_version
             if phase_span is not None:
                 phase_span.set(
                     rounds=len(phase_report.rounds),
@@ -378,6 +381,12 @@ def execute_plan(
                 break
             last_good = term
 
+    if egraph is None:
+        # The deadline cut the plan before phase 1: extraction gets
+        # the unrewritten spec.
+        egraph = EGraph()
+        root = egraph.add_term(spec.term)
+        merged.seed_version = egraph.version
     if cut:
         merged.stop_reason = StopReason.TIME_LIMIT
     plan_report.total_time = time.perf_counter() - start

@@ -334,17 +334,30 @@ def canonicalize(term: Term, limits: CanonLimits = None) -> Rational:
 
 
 def _canonicalize_with(term: Term, limits: CanonLimits, work: "_Work") -> Rational:
-    cache: Dict[Term, Rational] = {}
+    return _Memo(limits, work).go(term)
 
-    def go(t: Term) -> Rational:
-        hit = cache.get(t)
+
+class _Memo:
+    """One query's ``Term -> Rational`` cache.  :func:`_canon_node`
+    recurses through the bound method :meth:`go`, which references the
+    memo but is not referenced by it, so the cache is freed by reference
+    counting when the query returns (a recursive closure would hold it
+    in a cycle)."""
+
+    __slots__ = ("cache", "limits", "work")
+
+    def __init__(self, limits: CanonLimits, work: "_Work") -> None:
+        self.cache: Dict[Term, Rational] = {}
+        self.limits = limits
+        self.work = work
+
+    def go(self, t: Term) -> Rational:
+        hit = self.cache.get(t)
         if hit is not None:
             return hit
-        result = _canon_node(t, go, limits, work)
-        cache[t] = result
+        result = _canon_node(t, self.go, self.limits, self.work)
+        self.cache[t] = result
         return result
-
-    return go(term)
 
 
 def _canon_node(t: Term, go, limits: CanonLimits, work: "_Work") -> Rational:

@@ -1,9 +1,12 @@
 """End-to-end tests of the compiler driver (repro.compiler)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.compiler import CompileOptions, compile_kernel, compile_spec
 from repro.frontend import lift, random_inputs, run_reference
+from repro.kernels import get_kernel
 from repro.machine import simulate
 
 
@@ -89,6 +92,21 @@ class TestEndToEnd:
         )
         assert result.peak_memory_bytes is not None
         assert result.peak_memory_bytes > 0
+
+    def test_track_memory_keeps_a_running_trace(self):
+        """A trace the caller started keeps running, and the reported
+        peak is the compile's own, not the caller's 8 MB."""
+        spec = get_kernel("matmul-2x2-2x2").spec()
+        options = CompileOptions(time_limit=None, validate=False, track_memory=True)
+        tracemalloc.start()
+        try:
+            held = bytearray(8 << 20)
+            result = compile_spec(spec, options)
+            assert tracemalloc.is_tracing()
+            del held
+        finally:
+            tracemalloc.stop()
+        assert 0 < result.peak_memory_bytes < 4 << 20
 
     def test_differential_against_reference(self, fast_options, rng):
         def kernel(a, b, o):

@@ -11,11 +11,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from repro.compiler import CompileOptions, _selected_plan, compile_spec
 from repro.dsl.ast import Term
+from repro.egraph.egraph import EGraph
 from repro.kernels import get_kernel
 from repro.phases import (
     All,
@@ -307,3 +309,41 @@ def test_phase_rounds_keep_dirty_set_matching():
                              seed=0)
     report = compile_spec(spec, options).report
     assert sum(s.classes_skipped for s in report.rule_stats.values()) > 0
+
+
+def test_phased_compile_seeds_once_per_round(monkeypatch):
+    """Every ``add_term`` of a phased compile seeds one round's graph:
+    the spec is seeded once, by phase 1's first round, and the plan's
+    ``seed_version`` is that round's."""
+    seeds = []
+    add_term = EGraph.add_term
+
+    def counting(self, term):
+        seeds.append(term)
+        return add_term(self, term)
+
+    monkeypatch.setattr(EGraph, "add_term", counting)
+    spec = get_kernel("2dconv-3x3-2x2").spec()
+    options = CompileOptions(time_limit=None, validate=False, phases="on",
+                             seed=0)
+    result = compile_spec(spec, options)
+    rounds = [r for phase in result.phases.phases for r in phase.rounds]
+    assert len(seeds) == len(rounds) > 1
+    assert seeds[0] is spec.term
+    fresh = EGraph()
+    add_term(fresh, spec.term)
+    assert result.report.seed_version == rounds[0].seed_version == fresh.version
+
+
+def test_plan_cut_before_phase_one_extracts_the_spec():
+    """A deadline already gone when the plan starts runs no phase; the
+    executor seeds the spec into a graph of its own for extraction."""
+    spec = get_kernel("2dconv-3x3-2x2").spec()
+    options = CompileOptions(time_limit=None, validate=False, phases="on",
+                             seed=0, deadline=time.time() - 1.0)
+    execution = execute_plan(spec, options, default_plan(options.vector_width))
+    assert execution.plan_report.phases == []
+    assert execution.report.stop_reason == "time_limit"
+    assert execution.term is spec.term
+    assert execution.egraph.lookup_term(spec.term) == execution.root
+    assert execution.report.seed_version == execution.egraph.version > 0
