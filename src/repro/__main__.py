@@ -307,52 +307,6 @@ def _cmd_conformance(args) -> int:
     raise SystemExit(f"unknown conformance action {args.action!r}")
 
 
-def _cmd_bench(args) -> int:
-    """Stage-level perf benchmark; writes BENCH_egraph.json."""
-    import json
-
-    from .bench import check_gate, run_bench, write_report
-
-    baseline = None
-    if args.baseline:
-        with open(args.baseline) as handle:
-            baseline = json.load(handle)
-    report = run_bench(
-        quick=args.quick,
-        seed=args.seed,
-        name_filter=args.kernels,
-        phased=not args.no_phased,
-    )
-    gate = check_gate(report, baseline)
-    write_report(report, gate, args.out)
-    for kernel in report["kernels"]:
-        stages = kernel["stages"]
-        matcher = kernel["matcher"]
-        print(
-            f"{kernel['name']:<24} total {stages['total']:>7.3f}s  "
-            f"sat {stages['saturate']:>7.3f}s  "
-            f"nodes {kernel['egraph']['nodes']:>6}  "
-            f"visit x{matcher['visit_ratio']:<6} "
-            f"identical={matcher['extraction_identical']}"
-        )
-    for entry in report.get("phased", []):
-        phased = entry["phased"]
-        mono = entry["monolithic"]
-        print(
-            f"{entry['name']:<24} phased sat {phased['saturate_seconds']:>7.3f}s  "
-            f"peak {phased['peak_nodes']:>6}  cycles {phased['cycles']:>8.0f}  "
-            f"(naive {entry['naive_cycles']:.0f}; monolithic@"
-            f"{phased['node_budget']}n: {mono['stop_reason']})"
-        )
-    print(f"wrote {args.out}")
-    if not gate.ok:
-        for failure in gate.failures:
-            print(f"GATE FAIL: {failure}", file=sys.stderr)
-        return 1
-    print("gate: ok")
-    return 0
-
-
 def _cmd_trace(args) -> int:
     """Compile one kernel with full observability and write the trace
     bundle: Chrome trace, raw spans, Prometheus + JSON metrics, flight
@@ -647,32 +601,6 @@ def main(argv=None) -> int:
     p_conf.add_argument("--cache-dir", default=None, metavar="DIR")
     p_conf.add_argument("--verbose", action="store_true")
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="stage-level perf benchmark (writes BENCH_egraph.json)",
-    )
-    p_bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI mode: small kernel set, tighter limits",
-    )
-    p_bench.add_argument("--out", default="BENCH_egraph.json", metavar="FILE")
-    p_bench.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="baseline JSON to gate stage timings against",
-    )
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument(
-        "--kernels", default="", help="substring filter on kernel names"
-    )
-    p_bench.add_argument(
-        "--no-phased",
-        action="store_true",
-        help="skip the phased-vs-monolithic large-kernel comparison",
-    )
-
     p_trace = sub.add_parser(
         "trace",
         help="compile one kernel with full observability and write the "
@@ -739,7 +667,6 @@ def main(argv=None) -> int:
         "serve": _cmd_serve,
         "fuzz": _cmd_fuzz,
         "conformance": _cmd_conformance,
-        "bench": _cmd_bench,
         "trace": _cmd_trace,
         "chaos": _cmd_chaos,
         "cache": _cmd_cache,

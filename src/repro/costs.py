@@ -16,7 +16,7 @@ data-movement construct -- is charged by *where its lanes come from*:
 This mirrors the Fusion G3's fast unrestricted shuffle (the paper notes
 the model would fit less well on machines without one; the weights here
 are configurable for exactly that experiment -- see
-``benchmarks/test_ablation_cost.py``).
+``TestCostModelAblation`` in ``benchmarks/test_ablation_design.py``).
 
 All costs are strictly positive per node, preserving the monotonicity
 extraction requires.

@@ -81,8 +81,8 @@ def _parse_parametric(name: str) -> Kernel:
     The phased-saturation benchmarks use sizes beyond the Table 1 list
     (e.g. ``2dconv-8x8-4x4``); any ``2dconv-RxC-FRxFC`` /
     ``matmul-MxK-KxN`` name resolves through the same factories the
-    table uses, so the conformance and bench harnesses can address
-    them uniformly."""
+    table uses, so the conformance harness, perfbench and the tests can
+    address them uniformly."""
     parts = name.split("-")
     dims = [tuple(int(d) for d in p.split("x")) for p in parts[1:]]
     if parts[0] == "2dconv" and len(dims) == 2 and all(len(d) == 2 for d in dims):

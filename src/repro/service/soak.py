@@ -38,8 +38,8 @@ clients injected through the chaos seams (``gateway.flood``,
 
 The run ends with the chaos invariant checkers (typed-errors,
 bounded-queue, no-starvation, breaker-legality, cache-integrity) and a
-gate table; the JSON report is what ``benchmarks/soak_baseline.json``
-pins and the ``serve-smoke`` CI job asserts on.
+gate table; the ``serve-smoke`` CI job gates a fresh chaos soak on
+every push, and ``--report`` writes the JSON report.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The ``repro serve --bench`` soak harness, at unit-test scale.
 
-Full-size soaks (the committed ``benchmarks/soak_baseline.json``, the
-serve-smoke CI job) take ~25s; these runs shrink every phase to keep
+Full-size soaks (the serve-smoke CI job, which gates a fresh chaos
+soak on every push) take ~25s; these runs shrink every phase to keep
 tier-1 fast, skip the latency gates (meaningless at this scale), and
 check the machinery: open-loop schedule determinism, report shape,
 invariant wiring, dedup probes, and the chaos seams.

@@ -15,9 +15,11 @@ import time
 
 import pytest
 
+from repro.baselines import baseline_program
 from repro.compiler import CompileOptions, _selected_plan, compile_spec
 from repro.dsl.ast import Term
 from repro.egraph.egraph import EGraph
+from repro.evaluation.common import measure
 from repro.kernels import get_kernel
 from repro.phases import (
     All,
@@ -347,3 +349,43 @@ def test_plan_cut_before_phase_one_extracts_the_spec():
     assert execution.term is spec.term
     assert execution.egraph.lookup_term(spec.term) == execution.root
     assert execution.report.seed_version == execution.egraph.version > 0
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "2dconv-8x8-4x4",
+        pytest.param("matmul-16x16-16x16", marks=pytest.mark.slow),
+    ],
+)
+def test_phased_beats_monolithic_at_the_same_node_budget(name):
+    """The default plan reaches vector code at a node budget where one
+    monolithic saturation cannot: the phased compile completes its plan,
+    validates and beats the naive program's cycles (1,059 against 24,553
+    on the 2DConv, 1,472 against 40,632 on the MatMul).  A monolithic
+    run capped at the largest node limit any phase round used (4,000
+    and 13,249) stops on that limit with a slower program (1,561 and
+    4,473 cycles)."""
+    kernel = get_kernel(name)
+    spec = kernel.spec()
+    phased = compile_spec(
+        spec,
+        CompileOptions(time_limit=None, validate=True, phases="on", seed=0),
+    )
+    assert phased.phases.completed
+    assert phased.validated and not phased.degraded
+    cycles, correct = measure(phased.program, kernel, 0)
+    naive_cycles, _ = measure(baseline_program("naive", kernel), kernel, 0)
+    assert correct
+    assert cycles < naive_cycles
+
+    budget = max(r.node_limit for p in phased.phases.phases for r in p.rounds)
+    monolithic = compile_spec(
+        spec,
+        CompileOptions(time_limit=None, node_limit=budget, validate=False,
+                       phases="off", seed=0),
+    )
+    assert monolithic.report.stop_reason == "node_limit"
+    monolithic_cycles, monolithic_correct = measure(monolithic.program, kernel, 0)
+    assert monolithic_correct
+    assert cycles < monolithic_cycles
