@@ -162,41 +162,62 @@ def test_incremental_runner_matches_full_rescan_end_to_end(case):
     assert results[True] == results[False]
 
 
-def _matcher_counters(report):
-    return {
-        name: (s.classes_visited, s.classes_skipped)
-        for name, s in report.rule_stats.items()
-    }
+def _classes_visited(report):
+    return sum(s.classes_visited for s in report.rule_stats.values())
 
 
 def test_incremental_visits_fewer_classes():
     """On a multi-iteration run the dirty-set matcher must examine
-    strictly fewer candidate classes than a full rescan, and on
-    2dconv-3x3-3x3 at most half as many (3,793 against 18,201).  The
-    counters are deterministic -- a second incremental run repeats
-    them exactly -- so this cannot flake."""
+    strictly fewer candidate classes than a full rescan (the counters
+    are deterministic, so this cannot flake)."""
     rng = random.Random(5)
-    cases = [
-        (random_spec(rng, index=5, max_inputs=3, max_input_len=8), 1),
-        (get_kernel("2dconv-3x3-3x3").spec(), 2),
-    ]
-    for spec, min_ratio in cases:
-        visited = {}
-        for incremental in (True, False):
-            _, _, report = _saturate(spec, incremental)
-            visited[incremental] = sum(
-                s.classes_visited for s in report.rule_stats.values()
+    spec = random_spec(rng, index=5, max_inputs=3, max_input_len=8)
+    visited = {}
+    for incremental in (True, False):
+        _, _, report = _saturate(spec, incremental)
+        visited[incremental] = _classes_visited(report)
+        if incremental:
+            skipped = sum(
+                s.classes_skipped for s in report.rule_stats.values()
             )
-            if incremental:
-                skipped = sum(
-                    s.classes_skipped for s in report.rule_stats.values()
-                )
-                assert skipped > 0
-                assert any(it.skipped > 0 for it in report.iterations)
-                _, _, again = _saturate(spec, incremental=True)
-                assert _matcher_counters(again) == _matcher_counters(report)
-        assert visited[True] < visited[False], spec.name
-        assert visited[False] >= min_ratio * visited[True], spec.name
+            assert skipped > 0
+            assert any(it.skipped > 0 for it in report.iterations)
+    assert visited[True] < visited[False]
+
+
+def test_full_rescan_visits_at_least_twice_the_classes():
+    """On the largest quick paper kernel, 2dconv-3x3-3x3, the dirty-set
+    matcher examines at most half the candidate classes a full rescan
+    does (3,793 against 18,201)."""
+    spec = get_kernel("2dconv-3x3-3x3").spec()
+    visited = {}
+    for incremental in (True, False):
+        _, _, report = _saturate(spec, incremental)
+        visited[incremental] = _classes_visited(report)
+    assert visited[False] >= 2 * visited[True]
+
+
+def test_matcher_counters_deterministic():
+    """The per-rule visited/skipped counters are pure functions of the
+    kernel: two incremental saturations of 2dconv-3x3-3x3 agree on them
+    exactly, and on the e-graph and extracted cost."""
+    spec = get_kernel("2dconv-3x3-3x3").spec()
+    runs = []
+    for _ in range(2):
+        egraph, root, report = _saturate(spec, incremental=True)
+        counters = {
+            name: (s.classes_visited, s.classes_skipped)
+            for name, s in report.rule_stats.items()
+        }
+        runs.append(
+            (
+                counters,
+                egraph.num_nodes,
+                egraph.num_classes,
+                Extractor(egraph).extract(root).cost,
+            )
+        )
+    assert runs[0] == runs[1]
 
 
 def test_truncated_search_does_not_advance_cursor():
