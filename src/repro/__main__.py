@@ -7,7 +7,7 @@ Examples::
     repro compile 2dconv-3x5-3x3 --emit-c conv.c
     repro run matmul-2x3-3x3 --impl nature
     repro serve --kernels matmul --jobs 4 --cache-dir .repro-cache
-    repro fuzz --count 200 --seed 1 --smoke
+    repro conformance random --budget 200 --seed 1
     repro chaos --seed 0 --report chaos.json
     repro cache stats --dir .repro-cache
     repro cache fsck --dir .repro-cache --repair
@@ -40,11 +40,6 @@ def _cmd_list(_args) -> int:
 
 def _cmd_compile(args) -> int:
     kernel = get_kernel(args.kernel)
-    phase_plan = None
-    if args.phase_plan:
-        from .phases import load_plan_file
-
-        phase_plan = load_plan_file(args.phase_plan)
     options = CompileOptions(
         time_limit=args.budget,
         node_limit=args.node_limit,
@@ -52,7 +47,6 @@ def _cmd_compile(args) -> int:
         vector_width=args.width,
         select_best_candidate=args.select_best,
         phases=args.phases,
-        phase_plan=phase_plan,
     )
     result = compile_spec(kernel.spec(), options)
     print(result.summary())
@@ -188,41 +182,6 @@ def _cmd_serve_bench(args) -> int:
             fh.write("\n")
         print(f"wrote soak report to {args.report}", file=sys.stderr)
     return 0 if report["ok"] else 1
-
-
-def _cmd_fuzz(args) -> int:
-    """Differential-fuzzing oracle: interpreter vs simulator."""
-    from .validation.fuzz import (
-        SMOKE_COUNT,
-        render_fuzz_report,
-        run_fuzz,
-        smoke_options,
-    )
-
-    if args.smoke:
-        count = max(args.count or 0, SMOKE_COUNT)
-        options = smoke_options(args.seed)
-        time_budget = None  # smoke MUST complete all kernels
-    else:
-        count = args.count or SMOKE_COUNT
-        options = CompileOptions(
-            time_limit=args.budget,
-            node_limit=args.node_limit,
-            validate=False,
-            seed=args.seed,
-        )
-        time_budget = args.time_budget
-    service = _make_service(args) if (args.isolate or args.cache_dir) else None
-    report = run_fuzz(
-        count=count,
-        seed=args.seed,
-        options=options,
-        trials=args.trials,
-        service=service,
-        time_budget=time_budget,
-    )
-    print(render_fuzz_report(report, verbose=args.verbose))
-    return 0 if report.ok else 1
 
 
 def _cmd_conformance(args) -> int:
@@ -476,13 +435,6 @@ def main(argv=None) -> int:
         help="phased saturation: auto engages the default plan for "
         "kernels past the size threshold (DESIGN.md §13)",
     )
-    p_compile.add_argument(
-        "--phase-plan",
-        default=None,
-        metavar="FILE",
-        help="JSON phase plan to run instead of the built-in default "
-        "(implies the plan is used whenever phasing engages)",
-    )
 
     p_run = sub.add_parser("run", help="simulate one implementation")
     p_run.add_argument("kernel")
@@ -540,32 +492,6 @@ def main(argv=None) -> int:
         help="write the full JSON soak report (--bench)",
     )
 
-    p_fuzz = sub.add_parser(
-        "fuzz",
-        help="differential-fuzzing oracle: random kernels, interpreter "
-        "vs simulator",
-    )
-    p_fuzz.add_argument("--count", type=int, default=None)
-    p_fuzz.add_argument("--seed", type=int, default=0)
-    p_fuzz.add_argument("--trials", type=int, default=3)
-    p_fuzz.add_argument("--budget", type=float, default=1.0)
-    p_fuzz.add_argument("--node-limit", type=int, default=8_000)
-    p_fuzz.add_argument(
-        "--time-budget",
-        type=float,
-        default=None,
-        help="truncate the campaign after this many seconds (reported)",
-    )
-    p_fuzz.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI smoke mode: >=200 kernels, tiny budgets, no truncation",
-    )
-    p_fuzz.add_argument("--isolate", action="store_true")
-    p_fuzz.add_argument("--jobs", type=int, default=None)
-    p_fuzz.add_argument("--cache-dir", default=None, metavar="DIR")
-    p_fuzz.add_argument("--verbose", action="store_true")
-
     p_conf = sub.add_parser(
         "conformance",
         help="conformance subsystem: coverage-guided fuzzing, golden "
@@ -574,7 +500,8 @@ def main(argv=None) -> int:
     p_conf.add_argument(
         "action",
         choices=["guided", "random", "bless", "check", "metamorphic", "replay"],
-        help="guided/random: fuzz campaign (random = ablation baseline); "
+        help="guided/random: fuzz campaign (random = blind differential "
+        "fuzzing, also the guided mode's ablation baseline); "
         "bless/check: golden corpus; metamorphic: transform oracles; "
         "replay: re-run packaged repro JSON files",
     )
@@ -665,7 +592,6 @@ def main(argv=None) -> int:
         "compile": _cmd_compile,
         "run": _cmd_run,
         "serve": _cmd_serve,
-        "fuzz": _cmd_fuzz,
         "conformance": _cmd_conformance,
         "trace": _cmd_trace,
         "chaos": _cmd_chaos,

@@ -172,9 +172,6 @@ class CompileOptions:
     #: are untouched by ``"auto"`` -- their extraction stays
     #: byte-identical to ``"off"``.
     phases: str = "auto"
-    #: The plan the phased path runs; ``None`` means the shipped
-    #: three-phase :func:`repro.phases.default_plan` for this width.
-    phase_plan: Optional["PhasePlan"] = None
 
     def cost_model(self) -> CostFunction:
         return DiospyrosCostModel(CostConfig(vector_width=self.vector_width))
@@ -573,8 +570,9 @@ def _record_compile_metrics(result: CompileResult) -> None:
 
 
 def _selected_plan(spec: Spec, options: CompileOptions) -> Optional[PhasePlan]:
-    """Decide whether this compile saturates in phases, and under
-    which plan.  ``"auto"`` engages only at :data:`PHASE_THRESHOLD` so
+    """Decide whether this compile saturates in phases; when it does,
+    the plan is the shipped :func:`repro.phases.default_plan` for the
+    vector width.  ``"auto"`` engages only at :data:`PHASE_THRESHOLD` so
     every paper-sized kernel keeps the monolithic trajectory (and its
     byte-identical extractions); vector rules off implies monolithic
     (the default plan's phases are vectorization stages)."""
@@ -588,7 +586,7 @@ def _selected_plan(spec: Spec, options: CompileOptions) -> Optional[PhasePlan]:
         return None
     if mode == "auto" and unique_size(spec.term) < PHASE_THRESHOLD:
         return None
-    return options.phase_plan or default_plan(options.vector_width)
+    return default_plan(options.vector_width)
 
 
 def _saturate(
@@ -662,12 +660,12 @@ def _saturate_phased(
 ) -> Tuple[EGraph, int, RunReport, Optional[PlanReport]]:
     """Saturation via the phase executor (DESIGN.md §13).
 
-    A failed phase (crashed rule, or a sketch miss under the ``fail``
-    policy) degrades to the **last successful phase's extracted term**:
-    the compile keeps every rewrite the completed phases earned instead
-    of dropping straight to the scalar/spec-term rungs.  The fallback
-    term is re-seeded into a fresh graph so the downstream extraction
-    rungs operate exactly as they would on a monolithic result.
+    A failed phase (a crashed rule) degrades to the **last successful
+    phase's extracted term**: the compile keeps every rewrite the
+    completed phases earned instead of dropping straight to the
+    scalar/spec-term rungs.  The fallback term is re-seeded into a
+    fresh graph so the downstream extraction rungs operate exactly as
+    they would on a monolithic result.
     """
     try:
         execution = execute_plan(spec, options, plan)

@@ -1,7 +1,7 @@
 """Coverage map over compiler behaviors, the fuzzer's feedback signal.
 
-Pure random kernel generation (``repro.validation.fuzz``) samples the
-same easy region of program space over and over; equality-saturation
+Pure random kernel generation (``repro.validation.fuzz.random_spec``,
+the ``mode="random"`` campaign) samples the same easy region of program space over and over; equality-saturation
 compilers break in the *rare* regions -- an explosive rule getting
 banned, extraction on a node-limited graph, a three-window nested
 select.  Coverage-guided fuzzing needs a cheap, deterministic notion of

@@ -1,7 +1,10 @@
-"""Coverage-guided fuzzing campaigns over the compiler.
+"""Fuzzing campaigns over the compiler: blind random and
+coverage-guided.
 
-This upgrades the pure-random differential oracle
-(:mod:`repro.validation.fuzz`) with a feedback loop:
+Each campaign feeds kernels to the differential oracle of
+:mod:`repro.validation.fuzz` (:func:`~repro.validation.fuzz.random_spec`
+generates the fresh kernels, :func:`~repro.validation.fuzz.check_result`
+checks each compile).  Guided mode adds a feedback loop:
 
 1. compile a kernel under full observability and extract its behavior
    features (:func:`repro.conformance.coverage.result_features`);
@@ -12,9 +15,11 @@ This upgrades the pure-random differential oracle
    random samples.
 
 ``mode="random"`` runs the identical loop with retention and mutation
-disabled -- the ablation baseline the acceptance test compares against:
-at the same seed and budget, guided mode must reach a strictly larger
-coverage-map cardinality.
+disabled.  It is the blind fuzz campaign CI's fuzz-smoke job runs
+(``repro conformance random --budget 200 --seed 1``), and the ablation
+baseline the acceptance test compares against: at the same seed and
+budget, guided mode must reach a strictly larger coverage-map
+cardinality.
 
 Every campaign is deterministic for a fixed ``(budget, seed, mode,
 options)``: RNG streams are domain-separated via

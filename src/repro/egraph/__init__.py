@@ -35,7 +35,7 @@ from .rewrite import (
     rewrite,
 )
 from .runner import IterationReport, RunReport, Runner, StopReason
-from .scheduler import BackoffScheduler, Deadline, RewriteScheduler, RuleStats
+from .scheduler import BackoffScheduler, Deadline, RuleStats
 from .unionfind import UnionFind
 
 __all__ = [
@@ -66,7 +66,6 @@ __all__ = [
     "StopReason",
     "BackoffScheduler",
     "Deadline",
-    "RewriteScheduler",
     "RuleStats",
     "UnionFind",
 ]

@@ -38,7 +38,7 @@ from ..chaos.inject import chaos_flag, chaos_point
 from ..observability import current_session, span
 from .egraph import EGraph
 from .rewrite import Match, Rewrite
-from .scheduler import BackoffScheduler, Deadline, RewriteScheduler, RuleStats
+from .scheduler import BackoffScheduler, Deadline, RuleStats
 
 __all__ = ["IterationReport", "RunReport", "Runner", "StopReason"]
 
@@ -184,7 +184,7 @@ class Runner:
         node_limit: int = 100_000,
         time_limit: Optional[float] = None,
         match_limit: Optional[int] = None,
-        scheduler: Optional[RewriteScheduler] = None,
+        scheduler: Optional[BackoffScheduler] = None,
         memory_limit_bytes: Optional[int] = None,
         catch_errors: bool = True,
         checkpoint_stride: int = 1,
@@ -216,7 +216,7 @@ class Runner:
         #: of DESIGN.md §11.
         self.persist = persist
 
-    def _make_scheduler(self) -> RewriteScheduler:
+    def _make_scheduler(self) -> BackoffScheduler:
         if self.scheduler is not None:
             return self.scheduler
         return BackoffScheduler(
@@ -288,7 +288,7 @@ class Runner:
         self,
         egraph: EGraph,
         report: RunReport,
-        scheduler: RewriteScheduler,
+        scheduler: BackoffScheduler,
         deadline: Deadline,
         applied_keys: set,
         start_iteration: int = 0,
@@ -448,7 +448,7 @@ class Runner:
         self,
         egraph: EGraph,
         report: RunReport,
-        scheduler: RewriteScheduler,
+        scheduler: BackoffScheduler,
         applied_keys: set,
         next_iteration: int,
         session,
@@ -577,7 +577,7 @@ class Runner:
         return current >= self.memory_limit_bytes
 
     @staticmethod
-    def _matcher_totals(scheduler: RewriteScheduler) -> "tuple[int, int]":
+    def _matcher_totals(scheduler: BackoffScheduler) -> "tuple[int, int]":
         visited = sum(s.classes_visited for s in scheduler.stats.values())
         skipped = sum(s.classes_skipped for s in scheduler.stats.values())
         return visited, skipped

@@ -14,11 +14,11 @@ Two pieces live here:
 * :class:`Deadline` -- a cooperative wall-clock budget the runner
   threads through ``Rewrite.search`` so that long-running e-matching
   yields *mid-rule* instead of only between rules.
-* :class:`RewriteScheduler` / :class:`BackoffScheduler` -- egg's
-  scheduler protocol: the runner asks the scheduler to search each
-  rule, and asks ``can_stop`` before declaring saturation (a run with
-  banned rules has not truly saturated; egg fast-forwards the bans and
-  keeps going, and so do we).
+* :class:`BackoffScheduler` -- egg's scheduler protocol: the runner
+  asks the scheduler to search each rule, and asks ``can_stop`` before
+  declaring saturation (a run with banned rules has not truly
+  saturated; egg fast-forwards the bans and keeps going, and so do
+  we).
 
 Per-rule statistics (:class:`RuleStats`) are surfaced in
 :class:`repro.egraph.runner.RunReport` so Table 1 style sweeps can see
@@ -35,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .egraph import EGraph
     from .rewrite import Match, Rewrite
 
-__all__ = ["Deadline", "RuleStats", "RewriteScheduler", "BackoffScheduler"]
+__all__ = ["Deadline", "RuleStats", "BackoffScheduler"]
 
 
 class Deadline:
@@ -106,9 +106,19 @@ class RuleStats:
         return iteration < self.banned_until
 
 
-class RewriteScheduler:
-    """Base scheduler: apply everything (egg's ``SimpleScheduler``),
-    while still tracking per-rule statistics.
+class BackoffScheduler:
+    """egg's exponential-backoff rule scheduler.
+
+    A rule whose search yields more than ``match_limit << times_banned``
+    matches in one iteration contributes nothing that iteration and is
+    banned for ``ban_length << times_banned`` iterations.  Explosive
+    rules (full associativity/commutativity are the canonical case,
+    paper Section 3.3) therefore get geometrically rarer instead of
+    drowning every iteration, while well-behaved rules run untouched.
+
+    ``match_limit=None`` disables banning entirely -- the scheduler then
+    only records statistics, which keeps the default compiler pipeline
+    byte-for-byte compatible with the unscheduled behaviour.
 
     When ``incremental`` is set, each rule keeps a *search cursor*
     (``RuleStats.last_search_tick``): the e-graph tick up to which it
@@ -123,10 +133,20 @@ class RewriteScheduler:
     """
 
     def __init__(
-        self, incremental: bool = False, rescan_stride: int = 16
+        self,
+        match_limit: Optional[int] = 1000,
+        ban_length: int = 5,
+        incremental: bool = False,
+        rescan_stride: int = 16,
     ) -> None:
+        if match_limit is not None and match_limit <= 0:
+            raise ValueError("match_limit must be positive (or None)")
+        if ban_length <= 0:
+            raise ValueError("ban_length must be positive")
         if rescan_stride <= 0:
             raise ValueError("rescan_stride must be positive")
+        self.match_limit = match_limit
+        self.ban_length = ban_length
         self.stats: Dict[str, RuleStats] = {}
         self.incremental = incremental
         self.rescan_stride = rescan_stride
@@ -228,68 +248,6 @@ class RewriteScheduler:
         deadline: Optional[Deadline] = None,
     ) -> List["Match"]:
         """Search one rule, applying the scheduling policy."""
-        from .pattern import MatchCounters
-
-        self._check_graph(egraph)
-        stats = self.rule_stats(rule.name)
-        cutoff, tick_before = self._search_cutoff(egraph, stats)
-        counters = MatchCounters()
-        start = time.perf_counter()
-        matches = rule.search(
-            egraph, deadline=deadline, since=cutoff, counters=counters
-        )
-        stats.search_time += time.perf_counter() - start
-        stats.matches += len(matches)
-        stats.classes_visited += counters.visited
-        stats.classes_skipped += counters.skipped
-        self._commit_cursor(stats, cutoff, tick_before, counters.completed)
-        stats.applied += len(matches)
-        return matches
-
-    def can_stop(self, iteration: int) -> bool:
-        """May the runner declare saturation at this iteration?"""
-        return True
-
-
-class BackoffScheduler(RewriteScheduler):
-    """egg's exponential-backoff rule scheduler.
-
-    A rule whose search yields more than ``match_limit << times_banned``
-    matches in one iteration contributes nothing that iteration and is
-    banned for ``ban_length << times_banned`` iterations.  Explosive
-    rules (full associativity/commutativity are the canonical case,
-    paper Section 3.3) therefore get geometrically rarer instead of
-    drowning every iteration, while well-behaved rules run untouched.
-
-    ``match_limit=None`` disables banning entirely -- the scheduler then
-    only records statistics, which keeps the default compiler pipeline
-    byte-for-byte compatible with the unscheduled behaviour.
-    """
-
-    def __init__(
-        self,
-        match_limit: Optional[int] = 1000,
-        ban_length: int = 5,
-        incremental: bool = False,
-        rescan_stride: int = 16,
-    ) -> None:
-        super().__init__(incremental=incremental, rescan_stride=rescan_stride)
-        if match_limit is not None and match_limit <= 0:
-            raise ValueError("match_limit must be positive (or None)")
-        if ban_length <= 0:
-            raise ValueError("ban_length must be positive")
-        self.match_limit = match_limit
-        self.ban_length = ban_length
-
-    # ------------------------------------------------------------------
-
-    def search_rewrite(
-        self,
-        iteration: int,
-        egraph: "EGraph",
-        rule: "Rewrite",
-        deadline: Optional[Deadline] = None,
-    ) -> List["Match"]:
         from .pattern import MatchCounters
 
         self._check_graph(egraph)

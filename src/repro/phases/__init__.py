@@ -1,40 +1,24 @@
 """Sketch-guided phased saturation (DESIGN.md §13).
 
 Splits one monolithic equality-saturation run into an ordered sequence
-of *phases* -- each with its own rule subset, budgets, and goal sketch
--- extracting and re-seeding a fresh e-graph between phases.  This is
-the repo's rendering of *Sketch-Guided Equality Saturation* (PAPERS.md)
-and the mechanism that compiles kernels whose monolithic runs blow the
-node budget (2DConv 8x8/4x4, MatMul 16x16; see EXPERIMENTS.md).
+of *phases* -- each with its own rule subset, iteration budget, and
+goal sketch -- extracting and re-seeding a fresh e-graph between
+phases.  This is the repo's rendering of *Sketch-Guided Equality
+Saturation* (PAPERS.md) and the mechanism that compiles kernels whose
+monolithic runs blow the node budget (2DConv 8x8/4x4, MatMul 16x16;
+see EXPERIMENTS.md).
 
-* :mod:`.sketch`  -- the goal-sketch DSL (shape predicates over terms).
-* :mod:`.plan`    -- declarative :class:`PhasePlan` / :class:`Phase`,
-  the shipped :func:`default_plan`, and the JSON form behind the
-  ``--phase-plan`` CLI knob.
+* :mod:`.sketch`  -- the goal-sketch DSL (shape predicates over a
+  term's operator histogram).
+* :mod:`.plan`    -- :class:`PhasePlan` / :class:`Phase` and the
+  shipped :func:`default_plan`, the one plan the compiler runs.
 * :mod:`.execute` -- the executor wiring phases through the existing
   ``Runner``, with per-phase crash-recoverable checkpoints and
   observability.
 """
 
-from .sketch import (
-    All,
-    AnyOf,
-    Contains,
-    CountAtLeast,
-    NoneOf,
-    NoneUnder,
-    Not,
-    Sketch,
-    sketch_from_json,
-)
-from .plan import (
-    ON_MISS_POLICIES,
-    Phase,
-    PhasePlan,
-    default_plan,
-    load_plan_file,
-    plan_from_json,
-)
+from .sketch import All, Contains, NoneOf, Not, Sketch, op_counts
+from .plan import ON_MISS_POLICIES, Phase, PhasePlan, default_plan
 from .execute import (
     PhaseExecution,
     PhaseReport,
@@ -47,19 +31,14 @@ from .execute import (
 __all__ = [
     "Sketch",
     "Contains",
-    "CountAtLeast",
     "NoneOf",
-    "NoneUnder",
     "Not",
     "All",
-    "AnyOf",
-    "sketch_from_json",
+    "op_counts",
     "ON_MISS_POLICIES",
     "Phase",
     "PhasePlan",
     "default_plan",
-    "plan_from_json",
-    "load_plan_file",
     "SketchBiasedCost",
     "PhaseRoundReport",
     "PhaseReport",

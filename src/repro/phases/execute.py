@@ -51,8 +51,8 @@ from ..egraph.runner import Runner, RunReport, StopReason
 from ..egraph.scheduler import BackoffScheduler, RuleStats
 from ..observability import current_session, span
 from ..rules import build_ruleset
-from .plan import Phase, PhasePlan
-from .sketch import Sketch
+from .plan import Phase, PhasePlan, resolve_node_limit
+from .sketch import Sketch, op_counts
 
 __all__ = [
     "SketchBiasedCost",
@@ -150,7 +150,7 @@ class PhaseReport:
     sketch_satisfied: bool = True
     #: What the on-miss policy did: "" (hit), "extended" (hit after
     #: extra rounds), "accepted-miss" (skip / extend exhausted),
-    #: "failed" (fail policy or a crashed round).
+    #: "failed" (a crashed round).
     outcome: str = ""
     extracted_cost: float = 0.0
     total_time: float = 0.0
@@ -274,10 +274,10 @@ def execute_plan(
 ) -> PhaseExecution:
     """Run ``plan`` over ``spec`` and return the combined outcome.
 
-    Never raises for phase-level failures (a crashed rule, a ``fail``
-    on-miss policy): those come back with ``failed=True`` plus the last
-    successful boundary term, and the compiler decides whether to
-    degrade or raise based on ``options.fault_tolerance``.
+    Never raises for a crashed rule: that comes back with
+    ``failed=True`` plus the last successful boundary term, and the
+    compiler decides whether to degrade or raise based on
+    ``options.fault_tolerance``.
     """
     base_cost = options.cost_model()
     fingerprint = plan.fingerprint()
@@ -368,17 +368,6 @@ def execute_plan(
                 if phase_span is not None:
                     phase_span.ok = False
                 break
-            if phase_report.outcome == "failed":
-                failed = True
-                failure = (
-                    f"phase {phase.name!r} missed its sketch "
-                    f"(score {phase_report.sketch_score:.3f}) with "
-                    f"on_miss='fail'"
-                )
-                plan_report.failed_phase = phase.name
-                if phase_span is not None:
-                    phase_span.ok = False
-                break
             last_good = term
 
     if egraph is None:
@@ -445,9 +434,10 @@ def _run_phase(
     crash: Optional[str] = None
     extraction = None
     score = 1.0
+    satisfied = True
     cut = False
 
-    node_limit = phase.resolve_node_limit(egraph.version)
+    node_limit = min(resolve_node_limit(egraph.version), options.node_limit)
     for round_index in range(max_rounds):
         if round_index > 0:
             if _deadline_passed(options):
@@ -456,12 +446,13 @@ def _run_phase(
             egraph = EGraph()
             root = egraph.add_term(term)
         seed_version = egraph.version
-        # The budget is resolved once, from the phase's *first* seed,
-        # and stays flat across extend rounds: vectorization compacts
-        # the term (a scalar dot chain collapses ~2.5x into a VecMAC
-        # chain), so a flat budget hands each re-seeded round growing
-        # relative headroom -- that monotonically increasing slack is
-        # what makes the extend loop converge.
+        # The budget is resolved once, from the phase's *first* seed
+        # (never above the compile's own ``node_limit``), and stays
+        # flat across extend rounds: vectorization compacts the term
+        # (a scalar dot chain collapses ~2.5x into a VecMAC chain), so
+        # a flat budget hands each re-seeded round growing relative
+        # headroom -- that monotonically increasing slack is what
+        # makes the extend loop converge.
         scheduler = BackoffScheduler(
             match_limit=options.match_limit, incremental=True
         )
@@ -488,7 +479,7 @@ def _run_phase(
             rules,
             iter_limit=phase.iter_limit,
             node_limit=node_limit,
-            time_limit=_round_time_limit(phase, options),
+            time_limit=_round_time_limit(options),
             match_limit=options.match_limit,
             scheduler=scheduler,
             checkpoint_stride=options.checkpoint_stride,
@@ -504,7 +495,10 @@ def _run_phase(
 
         extraction = Extractor(egraph, cost).extract(root)
         new_term = extraction.term
-        score = phase.sketch.score(new_term) if phase.sketch else 1.0
+        if phase.sketch is not None:
+            counts = op_counts(new_term)
+            score = phase.sketch.score(counts)
+            satisfied = phase.sketch.satisfied(counts)
         report.rounds.append(
             PhaseRoundReport(
                 round=round_index,
@@ -538,7 +532,7 @@ def _run_phase(
             break
         progressed = new_term != term
         term = new_term
-        if phase.sketch is None or phase.sketch.satisfied(term):
+        if satisfied:
             report.outcome = "extended" if round_index > 0 else ""
             break
         if run.saturated:
@@ -553,14 +547,10 @@ def _run_phase(
 
     report.total_time = time.perf_counter() - start
     report.sketch_score = score
-    report.sketch_satisfied = (
-        phase.sketch is None or phase.sketch.satisfied(term)
-    )
+    report.sketch_satisfied = satisfied
     report.extracted_cost = extraction.cost if extraction is not None else 0.0
-    if crash is None and not report.sketch_satisfied:
-        report.outcome = (
-            "failed" if phase.on_miss == "fail" else "accepted-miss"
-        )
+    if crash is None and not satisfied:
+        report.outcome = "accepted-miss"
     return report, term, egraph, root, crash, cut
 
 
@@ -568,10 +558,10 @@ def _deadline_passed(options) -> bool:
     return options.deadline is not None and time.time() >= options.deadline
 
 
-def _round_time_limit(phase: Phase, options) -> Optional[float]:
-    """One round's saturation budget: the phase's own limit, else the
-    compile's, clamped to what is left before ``options.deadline``."""
-    limit = phase.time_limit if phase.time_limit is not None else options.time_limit
+def _round_time_limit(options) -> Optional[float]:
+    """One round's saturation budget: the compile's own limit, clamped
+    to what is left before ``options.deadline``."""
+    limit = options.time_limit
     if options.deadline is None:
         return limit
     residual = max(0.0, options.deadline - time.time())

@@ -1,11 +1,11 @@
-"""Phase plans: declarative schedules for phased saturation.
+"""Phase plans: the schedule phased saturation runs.
 
 A :class:`PhasePlan` is an ordered list of :class:`Phase` entries.
 Each phase names a rewrite-rule subset by *tag* (see
 ``repro.rules.build_ruleset(only_tags=...)``), carries its own
-iteration / node / time budgets, a target :class:`~.sketch.Sketch`,
-and an *on-miss* policy deciding what happens when the phase's
-extracted term does not satisfy the sketch:
+iteration budget, a target :class:`~.sketch.Sketch`, and an *on-miss*
+policy deciding what happens when the phase's extracted term does not
+satisfy the sketch:
 
 * ``extend`` -- re-seed a fresh e-graph from the extracted term and run
   the phase again (up to ``extend_limit`` rounds).  Because re-seeding
@@ -14,52 +14,53 @@ extracted term does not satisfy the sketch:
   the mechanism that lets phased runs finish kernels whose monolithic
   saturation blows the same budget.
 * ``skip`` -- accept the term as-is and move on (best-effort phases).
-* ``fail`` -- abort the plan; the compiler's degradation ladder falls
-  back to the last successful phase's term.
 
-Node budgets are *relative* by default: ``max(node_floor,
-node_factor * seed)`` where ``seed`` is the cumulative node count right
-after the phase's input term is loaded into a fresh e-graph.  One
-default plan therefore scales from a 150-node kernel to a 9000-node
-MatMul without per-kernel tuning; an absolute ``node_limit`` can still
-be pinned per phase.
+A round whose rule crashes fails the plan whatever the policy; the
+compiler's degradation ladder then falls back to the last successful
+phase's term.
 
-Plans are picklable (they cross the worker-process boundary inside
-``CompileOptions``) and have a stable, content-bearing ``repr`` -- the
-artifact cache and the checkpoint key both hash it, and the plan
-:meth:`~PhasePlan.fingerprint` is part of every per-phase checkpoint
-key so a resume can never apply a checkpoint from a different plan.
+Node budgets are *relative*: :func:`resolve_node_limit` gives
+``max(NODE_FLOOR, NODE_FACTOR * seed)``, where ``seed`` is the
+cumulative node count right after the phase's input term is loaded into
+a fresh e-graph.  One plan therefore scales from a 150-node kernel to a
+9000-node MatMul without per-kernel tuning.  The executor caps it at
+the compile's own ``node_limit``.
+
+Plans are picklable and have a stable, content-bearing ``repr``: the
+plan :meth:`~PhasePlan.fingerprint` is part of every per-phase
+checkpoint key so a resume can never apply a checkpoint from a
+different plan.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-from .sketch import (
-    All,
-    Contains,
-    NoneOf,
-    Not,
-    Sketch,
-    sketch_from_json,
-)
+from .sketch import All, Contains, NoneOf, Not, Sketch
 
 __all__ = [
     "ON_MISS_POLICIES",
     "Phase",
     "PhasePlan",
     "default_plan",
-    "plan_from_json",
-    "load_plan_file",
+    "resolve_node_limit",
 ]
 
-ON_MISS_POLICIES = ("extend", "skip", "fail")
+ON_MISS_POLICIES = ("extend", "skip")
 
 #: Scalar arithmetic operators a fully vectorized term must not contain.
 SCALAR_ARITH_OPS = ("*", "+", "-", "/")
+
+#: Relative node budget of one phase round (:func:`resolve_node_limit`).
+NODE_FLOOR = 4_000
+NODE_FACTOR = 1.5
+
+
+def resolve_node_limit(seed_version: int) -> int:
+    """The node budget for a phase seeded at ``seed_version``."""
+    return max(NODE_FLOOR, int(NODE_FACTOR * seed_version))
 
 
 @dataclass(frozen=True)
@@ -67,18 +68,12 @@ class Phase:
     """One saturation phase.
 
     ``rule_tags`` selects the rule subset (empty tuple = all rules);
-    ``iter_limit`` is the per-round iteration budget; the node budget
-    resolves via :meth:`resolve_node_limit`.  ``time_limit`` of ``None``
-    inherits the compile-wide budget.
+    ``iter_limit`` is the per-round iteration budget.
     """
 
     name: str
     rule_tags: Tuple[str, ...] = ()
     iter_limit: int = 10
-    node_floor: int = 4_000
-    node_factor: float = 1.5
-    node_limit: Optional[int] = None
-    time_limit: Optional[float] = None
     sketch: Optional[Sketch] = None
     on_miss: str = "extend"
     extend_limit: int = 8
@@ -97,36 +92,10 @@ class Phase:
         # fingerprint) is independent of how the tuple was written.
         object.__setattr__(self, "rule_tags", tuple(sorted(self.rule_tags)))
 
-    def resolve_node_limit(self, seed_version: int) -> int:
-        """The node budget for one round seeded at ``seed_version``."""
-        if self.node_limit is not None:
-            return self.node_limit
-        return max(self.node_floor, int(self.node_factor * seed_version))
-
-    def to_json(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "name": self.name,
-            "rule_tags": list(self.rule_tags),
-            "iter_limit": self.iter_limit,
-            "node_floor": self.node_floor,
-            "node_factor": self.node_factor,
-            "on_miss": self.on_miss,
-            "extend_limit": self.extend_limit,
-        }
-        if self.node_limit is not None:
-            out["node_limit"] = self.node_limit
-        if self.time_limit is not None:
-            out["time_limit"] = self.time_limit
-        if self.sketch is not None:
-            out["sketch"] = self.sketch.to_json()
-        return out
-
     def __repr__(self) -> str:
         return (
             f"Phase({self.name!r}, tags={list(self.rule_tags)!r}, "
-            f"iters={self.iter_limit}, floor={self.node_floor}, "
-            f"factor={self.node_factor}, limit={self.node_limit}, "
-            f"time={self.time_limit}, sketch={self.sketch!r}, "
+            f"iters={self.iter_limit}, sketch={self.sketch!r}, "
             f"on_miss={self.on_miss!r}, extends={self.extend_limit})"
         )
 
@@ -147,12 +116,6 @@ class PhasePlan:
         """Content digest of the plan (part of every phase checkpoint
         key: resuming under an edited plan must miss cleanly)."""
         return hashlib.sha256(repr(self).encode()).hexdigest()[:16]
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "phases": [phase.to_json() for phase in self.phases],
-        }
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(p) for p in self.phases)
@@ -212,38 +175,3 @@ def default_plan(width: int = 4) -> PhasePlan:
         ),
     )
 
-
-def plan_from_json(obj: Dict[str, Any]) -> PhasePlan:
-    """Build a plan from its JSON form (the ``--phase-plan`` file)."""
-    phases = []
-    for entry in obj.get("phases", ()):
-        sketch = entry.get("sketch")
-        phases.append(
-            Phase(
-                name=entry["name"],
-                rule_tags=tuple(entry.get("rule_tags", ())),
-                iter_limit=int(entry.get("iter_limit", 10)),
-                node_floor=int(entry.get("node_floor", 4_000)),
-                node_factor=float(entry.get("node_factor", 1.5)),
-                node_limit=(
-                    int(entry["node_limit"])
-                    if entry.get("node_limit") is not None
-                    else None
-                ),
-                time_limit=(
-                    float(entry["time_limit"])
-                    if entry.get("time_limit") is not None
-                    else None
-                ),
-                sketch=sketch_from_json(sketch) if sketch is not None else None,
-                on_miss=entry.get("on_miss", "extend"),
-                extend_limit=int(entry.get("extend_limit", 8)),
-            )
-        )
-    return PhasePlan(name=obj.get("name", "custom"), phases=tuple(phases))
-
-
-def load_plan_file(path: str) -> PhasePlan:
-    """Load a plan from a JSON file (CLI ``--phase-plan PATH``)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return plan_from_json(json.load(handle))

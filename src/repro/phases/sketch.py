@@ -3,50 +3,48 @@
 *Sketch-Guided Equality Saturation* (PAPERS.md) steers each phase of a
 phased saturation run toward a *sketch* -- a partial description of
 what the program should look like after the phase ("contains a
-``VecMAC``", "no scalar ``*`` under a ``Concat``").  This module is
-the sketch language: small, picklable combinator objects with
+``VecMAC``", "no scalar ``*`` left").  This module is the sketch
+language: small, picklable combinator objects with
 
 * :meth:`Sketch.satisfied` -- does an extracted term meet the goal?
 * :meth:`Sketch.score`     -- how close is it, in ``[0, 1]``?  The
-  executor records the score per phase and uses it to decide whether
-  an ``extend`` on-miss policy made progress.
+  executor records the score per phase round.
 * :meth:`Sketch.required_ops` / :meth:`Sketch.forbidden_ops` -- the
   operator hints the phase executor turns into an extraction bias
   (reward the ops the sketch wants present, penalize the ops it wants
   gone), so the *extractor* pulls the e-graph toward the sketch even
   when the cost model alone would prefer a pre-phase shape.
 
+Every sketch reads only the term's operator histogram
+(:func:`op_counts`), so the executor counts a round's term once and
+hands the counts to every sketch it checks.
+
 Sketches are deliberately plain classes (no lambdas, no closures):
 they ride inside ``PhasePlan`` through pickle across the worker
 boundary and into checkpoint keys, so they need structural ``repr``/
 equality and nothing process-local.
-
-Everything is also JSON round-trippable (:func:`sketch_from_json` /
-:meth:`Sketch.to_json`) for the ``--phase-plan`` CLI knob.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, Tuple
+from typing import Dict, FrozenSet, Iterable, Tuple
 
 from ..dsl.ast import Term
 
 __all__ = [
     "Sketch",
     "Contains",
-    "CountAtLeast",
     "NoneOf",
-    "NoneUnder",
     "Not",
     "All",
-    "AnyOf",
     "op_counts",
-    "sketch_from_json",
 ]
 
 
-def _unique_nodes(term: Term) -> Iterator[Term]:
-    """Every unique subterm (DAG nodes, not tree occurrences)."""
+def op_counts(term: Term) -> Dict[str, int]:
+    """Operator histogram over the term's unique subterms (DAG nodes,
+    not tree occurrences)."""
+    counts: Dict[str, int] = {}
     seen = set()
     stack = [term]
     while stack:
@@ -54,25 +52,20 @@ def _unique_nodes(term: Term) -> Iterator[Term]:
         if current in seen:
             continue
         seen.add(current)
-        yield current
+        counts[current.op] = counts.get(current.op, 0) + 1
         stack.extend(current.args)
-
-
-def op_counts(term: Term) -> Dict[str, int]:
-    """Operator histogram over the term's unique subterms."""
-    counts: Dict[str, int] = {}
-    for node in _unique_nodes(term):
-        counts[node.op] = counts.get(node.op, 0) + 1
     return counts
 
 
 class Sketch:
-    """Base sketch.  Subclasses are immutable and compare by repr."""
+    """Base sketch.  Subclasses are immutable and compare by repr.
 
-    def satisfied(self, term: Term) -> bool:
-        return self.score(term) >= 1.0
+    ``counts`` is a term's :func:`op_counts` histogram."""
 
-    def score(self, term: Term) -> float:
+    def satisfied(self, counts: Dict[str, int]) -> bool:
+        return self.score(counts) >= 1.0
+
+    def score(self, counts: Dict[str, int]) -> float:
         raise NotImplementedError
 
     def required_ops(self) -> FrozenSet[str]:
@@ -82,9 +75,6 @@ class Sketch:
     def forbidden_ops(self) -> FrozenSet[str]:
         """Ops whose *absence* this sketch asks for (bias: penalize)."""
         return frozenset()
-
-    def to_json(self) -> Dict[str, Any]:
-        raise NotImplementedError
 
     def __eq__(self, other: object) -> bool:
         return type(self) is type(other) and repr(self) == repr(other)
@@ -99,43 +89,14 @@ class Contains(Sketch):
     def __init__(self, op: str) -> None:
         self.op = op
 
-    def score(self, term: Term) -> float:
-        return 1.0 if op_counts(term).get(self.op, 0) > 0 else 0.0
+    def score(self, counts: Dict[str, int]) -> float:
+        return 1.0 if counts.get(self.op, 0) > 0 else 0.0
 
     def required_ops(self) -> FrozenSet[str]:
         return frozenset((self.op,))
-
-    def to_json(self) -> Dict[str, Any]:
-        return {"kind": "contains", "op": self.op}
 
     def __repr__(self) -> str:
         return f"Contains({self.op!r})"
-
-
-class CountAtLeast(Sketch):
-    """At least ``count`` unique nodes with operator ``op``.
-
-    The score is the fraction attained, which gives the extend policy a
-    progress signal long before the goal is met.
-    """
-
-    def __init__(self, op: str, count: int) -> None:
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        self.op = op
-        self.count = count
-
-    def score(self, term: Term) -> float:
-        return min(1.0, op_counts(term).get(self.op, 0) / self.count)
-
-    def required_ops(self) -> FrozenSet[str]:
-        return frozenset((self.op,))
-
-    def to_json(self) -> Dict[str, Any]:
-        return {"kind": "count", "op": self.op, "count": self.count}
-
-    def __repr__(self) -> str:
-        return f"CountAtLeast({self.op!r}, {self.count})"
 
 
 class NoneOf(Sketch):
@@ -151,61 +112,15 @@ class NoneOf(Sketch):
         if not self.ops:
             raise ValueError("NoneOf needs at least one operator")
 
-    def _violations(self, term: Term) -> int:
-        counts = op_counts(term)
-        return sum(counts.get(op, 0) for op in self.ops)
-
-    def score(self, term: Term) -> float:
-        bad = self._violations(term)
+    def score(self, counts: Dict[str, int]) -> float:
+        bad = sum(counts.get(op, 0) for op in self.ops)
         return 1.0 if bad == 0 else 1.0 / (1.0 + bad)
 
     def forbidden_ops(self) -> FrozenSet[str]:
         return frozenset(self.ops)
-
-    def to_json(self) -> Dict[str, Any]:
-        return {"kind": "none", "ops": list(self.ops)}
 
     def __repr__(self) -> str:
         return f"NoneOf({list(self.ops)!r})"
-
-
-class NoneUnder(Sketch):
-    """No node with an op in ``ops`` in any subtree rooted at ``under``.
-
-    The scoped variant of :class:`NoneOf` -- e.g. "no scalar ``*``
-    under a ``Concat``" tolerates scalar multiplies in a pre-amble but
-    not inside the vectorized region.
-    """
-
-    def __init__(self, under: str, ops: Iterable[str]) -> None:
-        self.under = under
-        self.ops: Tuple[str, ...] = tuple(sorted(set(ops)))
-        if not self.ops:
-            raise ValueError("NoneUnder needs at least one operator")
-
-    def _violations(self, term: Term) -> int:
-        banned = set(self.ops)
-        bad = set()
-        for node in _unique_nodes(term):
-            if node.op != self.under:
-                continue
-            for sub in _unique_nodes(node):
-                if sub.op in banned:
-                    bad.add(sub)
-        return len(bad)
-
-    def score(self, term: Term) -> float:
-        bad = self._violations(term)
-        return 1.0 if bad == 0 else 1.0 / (1.0 + bad)
-
-    def forbidden_ops(self) -> FrozenSet[str]:
-        return frozenset(self.ops)
-
-    def to_json(self) -> Dict[str, Any]:
-        return {"kind": "none-under", "under": self.under, "ops": list(self.ops)}
-
-    def __repr__(self) -> str:
-        return f"NoneUnder({self.under!r}, {list(self.ops)!r})"
 
 
 class Not(Sketch):
@@ -214,8 +129,8 @@ class Not(Sketch):
     def __init__(self, inner: Sketch) -> None:
         self.inner = inner
 
-    def score(self, term: Term) -> float:
-        return 1.0 - self.inner.score(term)
+    def score(self, counts: Dict[str, int]) -> float:
+        return 1.0 - self.inner.score(counts)
 
     def required_ops(self) -> FrozenSet[str]:
         return self.inner.forbidden_ops()
@@ -223,77 +138,30 @@ class Not(Sketch):
     def forbidden_ops(self) -> FrozenSet[str]:
         return self.inner.required_ops()
 
-    def to_json(self) -> Dict[str, Any]:
-        return {"kind": "not", "of": self.inner.to_json()}
-
     def __repr__(self) -> str:
         return f"Not({self.inner!r})"
 
 
-class _Junction(Sketch):
+class All(Sketch):
+    """Conjunction: satisfied when every part is; score is the mean."""
+
     def __init__(self, *parts: Sketch) -> None:
         if not parts:
-            raise ValueError(f"{type(self).__name__} needs at least one part")
+            raise ValueError("All needs at least one part")
         self.parts: Tuple[Sketch, ...] = tuple(parts)
 
+    def satisfied(self, counts: Dict[str, int]) -> bool:
+        return all(part.satisfied(counts) for part in self.parts)
+
+    def score(self, counts: Dict[str, int]) -> float:
+        return sum(part.score(counts) for part in self.parts) / len(self.parts)
+
     def required_ops(self) -> FrozenSet[str]:
-        out: FrozenSet[str] = frozenset()
-        for part in self.parts:
-            out = out | part.required_ops()
-        return out
+        return frozenset().union(*(part.required_ops() for part in self.parts))
 
     def forbidden_ops(self) -> FrozenSet[str]:
-        out: FrozenSet[str] = frozenset()
-        for part in self.parts:
-            out = out | part.forbidden_ops()
-        return out
+        return frozenset().union(*(part.forbidden_ops() for part in self.parts))
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(p) for p in self.parts)
-        return f"{type(self).__name__}({inner})"
-
-
-class All(_Junction):
-    """Conjunction: satisfied when every part is; score is the mean."""
-
-    def satisfied(self, term: Term) -> bool:
-        return all(part.satisfied(term) for part in self.parts)
-
-    def score(self, term: Term) -> float:
-        return sum(part.score(term) for part in self.parts) / len(self.parts)
-
-    def to_json(self) -> Dict[str, Any]:
-        return {"kind": "all", "parts": [p.to_json() for p in self.parts]}
-
-
-class AnyOf(_Junction):
-    """Disjunction: satisfied when any part is; score is the max."""
-
-    def satisfied(self, term: Term) -> bool:
-        return any(part.satisfied(term) for part in self.parts)
-
-    def score(self, term: Term) -> float:
-        return max(part.score(term) for part in self.parts)
-
-    def to_json(self) -> Dict[str, Any]:
-        return {"kind": "any", "parts": [p.to_json() for p in self.parts]}
-
-
-def sketch_from_json(obj: Dict[str, Any]) -> Sketch:
-    """Inverse of :meth:`Sketch.to_json` (the ``--phase-plan`` format)."""
-    kind = obj.get("kind")
-    if kind == "contains":
-        return Contains(obj["op"])
-    if kind == "count":
-        return CountAtLeast(obj["op"], int(obj["count"]))
-    if kind == "none":
-        return NoneOf(obj["ops"])
-    if kind == "none-under":
-        return NoneUnder(obj["under"], obj["ops"])
-    if kind == "not":
-        return Not(sketch_from_json(obj["of"]))
-    if kind == "all":
-        return All(*(sketch_from_json(p) for p in obj["parts"]))
-    if kind == "any":
-        return AnyOf(*(sketch_from_json(p) for p in obj["parts"]))
-    raise ValueError(f"unknown sketch kind: {kind!r}")
+        return f"All({inner})"

@@ -38,8 +38,9 @@ compile server -- actually needs:
 
 The evaluation sweeps (``python -m repro.evaluation ... --isolate
 --cache-dir DIR``), the ``python -m repro serve`` CLI verb, the chaos
-campaigns (``python -m repro chaos``), and the fuzzing oracle
-(:mod:`repro.validation.fuzz`) all run on top of this layer.
+campaigns (``python -m repro chaos``), and the conformance fuzz
+campaigns (``python -m repro conformance guided|random --isolate``)
+all run on top of this layer.
 """
 
 from .cache import (

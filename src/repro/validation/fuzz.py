@@ -1,10 +1,12 @@
-"""Differential-fuzzing correctness oracle (active miscompile hunting).
+"""Differential-fuzzing correctness oracle: the random kernel
+generator and the check that runs on each compiled kernel.
 
 Translation validation (Section 3.4) proves one compilation's output
 equivalent to its spec; this module turns the same trusted artifacts
-into an *active* detector: generate randomized small kernels straight
-from the frontend's specification language, push each through the full
-pipeline (saturation, extraction, lowering, LVN), and cross-check
+into an *active* detector.  :func:`random_spec` generates randomized
+small kernels straight from the frontend's specification language, and
+:func:`check_result` cross-checks one compile of such a kernel through
+the full pipeline (saturation, extraction, lowering, LVN) by comparing
 
 * the **scalar interpreter on the lifted spec** (the semantics ground
   truth),
@@ -14,58 +16,32 @@ pipeline (saturation, extraction, lowering, LVN), and cross-check
   lowering/LVN/codegen bugs)
 
 on shared random inputs.  Any disagreement is a
-:class:`FuzzDivergence` carrying the full reproducer (seed, kernel
-s-expression, lane, values) -- the CI smoke job fails on the first
-one.
+:class:`FuzzDivergence` carrying the full reproducer (kernel
+s-expression, lane, values).
 
-Compilation can run in-process or through a
-:class:`repro.service.CompileService` worker pool (``--isolate``), in
-which case a fuzzed kernel that OOMs or hangs the compiler is contained
-and reported instead of killing the campaign.
+The campaigns that drive them -- blind random generation and
+coverage-guided mutation -- are
+:func:`repro.conformance.fuzzer.run_campaign` (``repro conformance
+random`` / ``guided``); CI's fuzz-smoke job fails on any divergence.
 """
 
 from __future__ import annotations
 
 import random
-import time
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
-from ..compiler import CompileOptions, CompileResult, compile_spec
+from ..compiler import CompileResult
 from ..dsl.ast import Term, get, lst, num
 from ..dsl.interp import evaluate_output
 from ..frontend.lift import ArrayDecl, Spec, random_inputs
 from ..machine import simulate
-from ..seeding import stable_rng
 
 __all__ = [
     "FuzzDivergence",
-    "FuzzReport",
     "random_spec",
     "check_result",
-    "run_fuzz",
-    "render_fuzz_report",
-    "SMOKE_COUNT",
-    "smoke_options",
 ]
-
-#: CI smoke-mode campaign size (acceptance: >= 200 kernels, fixed seed).
-SMOKE_COUNT = 200
-
-
-def smoke_options(seed: int = 0) -> CompileOptions:
-    """Tiny per-kernel budgets so a 200-kernel campaign fits in the CI
-    smoke job's ~60 s envelope.  Validation is off: the oracle itself
-    is the check, and it also covers the backend stages validation
-    never sees."""
-    return CompileOptions(
-        time_limit=0.5,
-        node_limit=4_000,
-        iter_limit=8,
-        validate=False,
-        track_memory=False,
-        seed=seed,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -182,28 +158,6 @@ class FuzzDivergence:
         )
 
 
-@dataclass
-class FuzzReport:
-    """Outcome of one fuzzing campaign."""
-
-    requested: int
-    seed: int
-    generated: int = 0
-    compiled: int = 0
-    degraded: int = 0
-    checked_trials: int = 0
-    #: (kernel, error) pairs for kernels whose *compilation* failed --
-    #: robustness data, not correctness verdicts.
-    compile_failures: List[Tuple[str, str]] = field(default_factory=list)
-    divergences: List[FuzzDivergence] = field(default_factory=list)
-    elapsed: float = 0.0
-    truncated: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return not self.divergences
-
-
 def check_result(
     spec: Spec,
     result: CompileResult,
@@ -237,89 +191,3 @@ def check_result(
                     )
     return divergences
 
-
-def run_fuzz(
-    count: int = SMOKE_COUNT,
-    seed: int = 0,
-    options: Optional[CompileOptions] = None,
-    trials: int = 3,
-    tolerance: float = 1e-5,
-    service=None,
-    time_budget: Optional[float] = None,
-    max_inputs: int = 2,
-    max_input_len: int = 6,
-    max_outputs: int = 6,
-    max_depth: int = 3,
-) -> FuzzReport:
-    """Run a fuzzing campaign of ``count`` random kernels.
-
-    Fully deterministic for a given ``(count, seed, options)`` triple:
-    generation, input sampling, and compilation seeds all derive from
-    ``seed`` via :func:`repro.seeding.stable_seed` (SHA-256 based), so a
-    divergence replays byte-identically across machines regardless of
-    ``PYTHONHASHSEED``.  When ``service`` (a :class:`repro.service.CompileService`)
-    is given, compilations run in sandboxed workers and a crashing
-    fuzzed kernel is recorded in ``compile_failures`` instead of
-    killing the campaign.  ``time_budget`` truncates the campaign
-    (reported, never silent).
-    """
-    options = options or smoke_options(seed)
-    # Domain-separated stable streams: generation and per-kernel input
-    # sampling derive from ``seed`` without ever touching ``hash()``.
-    gen_rng = stable_rng(seed, "fuzz-gen")
-    report = FuzzReport(requested=count, seed=seed)
-    started = time.perf_counter()
-    for index in range(count):
-        if time_budget is not None and time.perf_counter() - started > time_budget:
-            report.truncated = True
-            break
-        spec = random_spec(
-            gen_rng,
-            index,
-            max_inputs=max_inputs,
-            max_input_len=max_input_len,
-            max_outputs=max_outputs,
-            max_depth=max_depth,
-        )
-        report.generated += 1
-        try:
-            if service is not None:
-                result = service.compile_spec(spec, options)
-            else:
-                result = compile_spec(spec, options)
-        except Exception as exc:  # noqa: BLE001 - campaign must continue
-            report.compile_failures.append(
-                (spec.name, f"{type(exc).__name__}: {exc}")
-            )
-            continue
-        report.compiled += 1
-        if result.degraded:
-            report.degraded += 1
-        check_rng = stable_rng(seed, "fuzz-check", index)
-        report.divergences.extend(
-            check_result(spec, result, check_rng, trials, tolerance)
-        )
-        report.checked_trials += trials
-    report.elapsed = time.perf_counter() - started
-    return report
-
-
-def render_fuzz_report(report: FuzzReport, verbose: bool = False) -> str:
-    lines = [
-        f"fuzz campaign: seed {report.seed}, {report.generated}/"
-        f"{report.requested} kernels generated"
-        + (" (TRUNCATED by time budget)" if report.truncated else ""),
-        f"  compiled: {report.compiled} "
-        f"({report.degraded} degraded, {len(report.compile_failures)} "
-        f"compile failures)",
-        f"  differential trials: {report.checked_trials} "
-        f"({report.elapsed:.1f}s elapsed)",
-        f"  divergences: {len(report.divergences)}",
-    ]
-    for div in report.divergences:
-        lines.append(str(div))
-    if verbose and report.compile_failures:
-        lines.append("compile failures:")
-        lines.extend(f"  {name}: {err}" for name, err in report.compile_failures)
-    lines.append("VERDICT: " + ("OK" if report.ok else "DIVERGENCE DETECTED"))
-    return "\n".join(lines)

@@ -1,6 +1,6 @@
 """Tests for the differential-fuzzing correctness oracle.
 
-The unit suite runs a moderate deterministic campaign (the full
+The unit suite runs a moderate deterministic random campaign (the full
 200-kernel smoke run lives in CI's fuzz-smoke job), checks the
 generator's envelope, and -- crucially -- proves the oracle can
 actually *detect* a miscompile by feeding it deliberately mismatched
@@ -13,16 +13,10 @@ import random
 import pytest
 
 from repro.compiler import CompileOptions, compile_spec
+from repro.conformance.fuzzer import render_campaign_report, run_campaign
 from repro.dsl.ast import Term, get, lst, num
 from repro.frontend.lift import ArrayDecl, Spec
-from repro.validation.fuzz import (
-    FuzzDivergence,
-    check_result,
-    random_spec,
-    render_fuzz_report,
-    run_fuzz,
-    smoke_options,
-)
+from repro.validation.fuzz import FuzzDivergence, check_result, random_spec
 
 CAMPAIGN = 40  # moderate unit-suite size; CI smoke runs >= 200
 
@@ -75,33 +69,39 @@ class TestRandomSpec:
 # ----------------------------------------------------------------------
 
 
+def _random_campaign(budget, seed, **kwargs):
+    return run_campaign(budget, seed=seed, mode="random", **kwargs)
+
+
 class TestCampaign:
     def test_moderate_campaign_has_no_divergences(self):
-        report = run_fuzz(count=CAMPAIGN, seed=1)
+        report = _random_campaign(CAMPAIGN, seed=1)
         assert report.ok
-        assert report.generated == CAMPAIGN
+        assert report.executed == CAMPAIGN
         assert report.compiled == CAMPAIGN
         assert report.compile_failures == []
         assert report.checked_trials == CAMPAIGN * 3
         assert not report.truncated
 
     def test_campaign_is_deterministic(self):
-        a = run_fuzz(count=10, seed=5)
-        b = run_fuzz(count=10, seed=5)
+        a = _random_campaign(10, seed=5)
+        b = _random_campaign(10, seed=5)
         assert (a.compiled, a.degraded, len(a.divergences)) == (
             b.compiled, b.degraded, len(b.divergences)
         )
+        assert a.coverage.features() == b.coverage.features()
+        assert a.coverage_curve == b.coverage_curve
 
     def test_time_budget_truncation_is_reported(self):
-        report = run_fuzz(count=10_000, seed=2, time_budget=0.5)
+        report = _random_campaign(10_000, seed=2, time_budget=0.5)
         assert report.truncated
-        assert report.generated < 10_000
-        assert "TRUNCATED" in render_fuzz_report(report)
+        assert report.executed < 10_000
+        assert "TRUNCATED" in render_campaign_report(report)
 
     def test_compile_failure_recorded_not_fatal(self, monkeypatch):
-        import repro.validation.fuzz as fuzz_mod
+        import repro.conformance.fuzzer as fuzzer
         calls = {"n": 0}
-        real = fuzz_mod.compile_spec
+        real = fuzzer.compile_spec
 
         def flaky(spec, options):
             calls["n"] += 1
@@ -109,18 +109,18 @@ class TestCampaign:
                 raise MemoryError("injected compiler OOM")
             return real(spec, options)
 
-        monkeypatch.setattr(fuzz_mod, "compile_spec", flaky)
-        report = run_fuzz(count=4, seed=3)
+        monkeypatch.setattr(fuzzer, "compile_spec", flaky)
+        report = _random_campaign(4, seed=3)
         assert report.compiled == 3
         assert len(report.compile_failures) == 1
         assert "MemoryError" in report.compile_failures[0][1]
         assert report.ok  # a compile failure is not a divergence
 
     def test_report_rendering(self):
-        report = run_fuzz(count=5, seed=4)
-        text = render_fuzz_report(report)
+        report = _random_campaign(5, seed=4)
+        text = render_campaign_report(report)
         assert "VERDICT: OK" in text
-        assert "divergences: 0" in text
+        assert "divergent kernels: 0" in text
 
 
 # ----------------------------------------------------------------------
@@ -168,8 +168,8 @@ class TestDetection:
         assert div.spec_sexpr != ""
 
     def test_divergence_fails_the_report(self, monkeypatch):
-        import repro.validation.fuzz as fuzz_mod
-        real = fuzz_mod.check_result
+        import repro.conformance.fuzzer as fuzzer
+        real = fuzzer.check_result
 
         def tampering_check(spec, result, rng, trials=3, tolerance=1e-5):
             tampered = copy.copy(result)
@@ -183,14 +183,7 @@ class TestDetection:
                 # check with a zero tolerance to force divergences.
                 return real(spec, result, rng, trials, -1.0)
 
-        monkeypatch.setattr(fuzz_mod, "check_result", tampering_check)
-        report = run_fuzz(count=3, seed=6)
+        monkeypatch.setattr(fuzzer, "check_result", tampering_check)
+        report = _random_campaign(3, seed=6)
         assert not report.ok
-        assert "DIVERGENCE DETECTED" in render_fuzz_report(report)
-
-    def test_smoke_options_are_tiny(self):
-        options = smoke_options(seed=9)
-        assert options.time_limit <= 1.0
-        assert options.node_limit <= 8_000
-        assert options.seed == 9
-        assert not options.validate
+        assert "DIVERGENCE DETECTED" in render_campaign_report(report)
