@@ -21,7 +21,7 @@ under 500" effect).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from . import vir
 from .vir import Program

@@ -24,7 +24,7 @@ across distinct-but-equal instruction sequences.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..dsl.ast import Term
 from ..frontend.lift import Spec

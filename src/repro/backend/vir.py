@@ -24,7 +24,7 @@ Tensilica-style C++ intrinsics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Tuple
 
 __all__ = [
     "Instr",

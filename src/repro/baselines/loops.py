@@ -15,7 +15,7 @@ branches pay the taken penalty).
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple, Union
+from typing import Callable, Sequence, Tuple, Union
 
 from ..backend import vir
 from ..backend.vir import Program, RegAllocator

@@ -19,7 +19,7 @@ except for load caching.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from ..backend import vir
 from ..backend.vir import Program

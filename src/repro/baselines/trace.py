@@ -24,11 +24,10 @@ testing run, so the three agree by construction.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from ..backend import vir
 from ..backend.vir import Program, RegAllocator
-from ..frontend.lift import Shape, Spec
 from ..kernels.base import Kernel
 
 __all__ = ["TraceEmitter", "trace_kernel"]

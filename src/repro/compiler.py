@@ -42,7 +42,7 @@ import threading
 import time
 import tracemalloc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .backend.codegen import emit_c
 from .backend.lower import lower_spec_program
@@ -54,7 +54,7 @@ from .dsl.ast import Term, unique_size
 from .egraph.egraph import EGraph
 from .egraph.extract import CostFunction, ExtractionResult, Extractor
 from .egraph.rewrite import Rewrite
-from .egraph.runner import Runner, RunReport, StopReason
+from .egraph.runner import Runner, RunReport
 from .errors import (
     CompileDiagnostics,
     CompileError,

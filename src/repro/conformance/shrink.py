@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..compiler import CompileOptions, compile_spec
 from ..dsl.ast import Term, num

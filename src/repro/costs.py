@@ -24,7 +24,7 @@ extraction requires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from .egraph.egraph import ENode

@@ -15,9 +15,9 @@ congruence relation over them (paper Section 3.3, following egg
 E-nodes store canonical child ids.  The rewrite machinery
 (:mod:`repro.egraph.rewrite`) never touches these internals: it only
 uses :meth:`add_term`, :meth:`union`, :meth:`classes`, and
-:meth:`nodes_of`.  Searchers read through :meth:`nodes_view` and
-:attr:`uf`, which copy nothing; the generated e-matchers of
-:mod:`repro.egraph.pattern` read the class table directly.
+:meth:`nodes_of`.  Searchers read through :attr:`class_table` and the
+union-find's root array (``egraph.uf.parent``), which copy nothing:
+the nodes of the class of ``x`` are ``classes[canon[x]].nodes``.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import (
     Dict,
-    Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
-    Sequence,
     Set,
     Tuple,
     Union,
@@ -44,13 +43,16 @@ __all__ = ["ENode", "EClass", "EGraph"]
 Payload = Union[int, float, str, None]
 
 
-@dataclass(frozen=True)
-class ENode:
+class ENode(NamedTuple):
     """One operator application with e-class children.
 
     ``value`` carries the payload of leaf operators (``Num``,
     ``Symbol``) and the function name of ``Call`` nodes; it is ``None``
     for everything else.
+
+    A tuple: immutable, without a ``__dict__``, and hashed, compared and
+    read in C.  Equality is field-wise, so ``Num 0`` and ``Num 0.0``
+    are one node, as they are to the hashcons.
     """
 
     op: str
@@ -59,8 +61,9 @@ class ENode:
 
     def canonicalize(self, uf: UnionFind) -> "ENode":
         """Rewrite child ids to their canonical representatives."""
-        new_children = tuple(uf.find(c) for c in self.children)
-        if new_children == self.children:
+        children = self.children
+        new_children = tuple(map(uf.parent.__getitem__, children))
+        if new_children == children:
             return self
         return ENode(self.op, new_children, self.value)
 
@@ -131,14 +134,24 @@ class EGraph:
 
     def find(self, eclass_id: int) -> int:
         """Canonical id of the class containing ``eclass_id``."""
-        return self._uf.find(eclass_id)
+        return self._uf.parent[eclass_id]
 
     @property
     def uf(self) -> UnionFind:
-        """The union-find itself.  Hot loops bind ``egraph.uf.find``
-        once instead of paying for the :meth:`find` wrapper per call;
-        :meth:`restore_from` swaps the object, so bind it per search."""
+        """The union-find itself.  Its root array ``uf.parent`` maps
+        every id to its canonical id and is updated in place, so hot
+        loops bind it once and index it instead of calling :meth:`find`
+        per id.  :meth:`restore_from` swaps the union-find object, so
+        bind the array per search, not per graph."""
         return self._uf
+
+    @property
+    def class_table(self) -> Dict[int, EClass]:
+        """Canonical class id -> :class:`EClass`: the table itself, not
+        a copy.  Read-only, for searchers, which never mutate the graph;
+        like :attr:`uf`, :meth:`restore_from` swaps it, so bind it per
+        search."""
+        return self._classes
 
     @property
     def num_classes(self) -> int:
@@ -198,12 +211,6 @@ class EGraph:
         """The e-nodes currently stored in the class of ``eclass_id``."""
         return list(self._classes[self.find(eclass_id)].nodes)
 
-    def nodes_view(self, eclass_id: int) -> Sequence[ENode]:
-        """The class's own e-node list, not a copy: read-only, and only
-        valid until the next mutation.  For searchers, which never
-        mutate the graph."""
-        return self._classes[self._uf.find(eclass_id)].nodes
-
     def classes_with_op(self, op: str, since=None, counters=None) -> List[int]:
         """Canonical ids of classes containing at least one node with
         the given operator.  Backed by a lazily-cleaned index so that
@@ -232,11 +239,11 @@ class EGraph:
         if self._op_clean.get(op) == self.tick:
             fresh = {cid for cid in stale}
         else:
-            find = self._uf.find
+            canon = self._uf.parent
             classes = self._classes
             fresh = set()
             for cid in stale:
-                root = find(cid)
+                root = canon[cid]
                 eclass = classes.get(root)
                 if eclass is None:
                     continue
@@ -305,18 +312,18 @@ class EGraph:
         pending = self._dirty_pending
         if not pending:
             return
-        find = self._uf.find
+        canon = self._uf.parent
         classes = self._classes
         stack = list(pending)
         pending.clear()
         while stack:
-            cid = find(stack.pop())
+            cid = canon[stack.pop()]
             eclass = classes.get(cid)
             if eclass is None:
                 continue
             stamp = eclass.modified_at
             for _node, parent in eclass.parents:
-                pid = find(parent)
+                pid = canon[parent]
                 pclass = classes.get(pid)
                 if pclass is not None and pclass.modified_at < stamp:
                     pclass.modified_at = stamp
@@ -378,7 +385,7 @@ class EGraph:
         node = node.canonicalize(self._uf)
         existing = self._memo.get(node)
         if existing is not None:
-            return self._uf.find(existing)
+            return self._uf.parent[existing]
         new_id = self._uf.make_set()
         eclass = EClass(new_id, [node])
         self._classes[new_id] = eclass
@@ -419,7 +426,7 @@ class EGraph:
         """
         node = node.canonicalize(self._uf)
         found = self._memo.get(node)
-        return None if found is None else self._uf.find(found)
+        return None if found is None else self._uf.parent[found]
 
     def lookup_term(self, term: Term) -> Optional[int]:
         """Class id representing ``term``, or ``None`` if the graph
@@ -442,7 +449,8 @@ class EGraph:
         Returns ``True`` when the graph changed.  Invariants are
         restored lazily by :meth:`rebuild`.
         """
-        ra, rb = self._uf.find(a), self._uf.find(b)
+        canon = self._uf.parent
+        ra, rb = canon[a], canon[b]
         if ra == rb:
             return False
         root = self._uf.union(ra, rb)
@@ -463,8 +471,9 @@ class EGraph:
         until a fixpoint.  Returns the number of classes repaired.
         """
         repaired = 0
+        canon = self._uf.parent
         while self._pending:
-            todo = {self._uf.find(cid) for cid in self._pending}
+            todo = {canon[cid] for cid in self._pending}
             self._pending.clear()
             for cid in todo:
                 self._repair(cid)
@@ -472,34 +481,37 @@ class EGraph:
         return repaired
 
     def _repair(self, eclass_id: int) -> None:
-        eclass = self._classes.get(self._uf.find(eclass_id))
+        uf = self._uf
+        # Unions below update the root array in place.
+        canon = uf.parent
+        eclass = self._classes.get(canon[eclass_id])
         if eclass is None:
             return
 
         # Re-canonicalize the hashcons entries of every parent node.
+        memo = self._memo
         new_parents: Dict[ENode, int] = {}
         for parent_node, parent_class in eclass.parents:
-            self._memo.pop(parent_node, None)
-            canonical = parent_node.canonicalize(self._uf)
-            parent_class = self._uf.find(parent_class)
+            memo.pop(parent_node, None)
+            canonical = parent_node.canonicalize(uf)
+            parent_class = canon[parent_class]
             previous = new_parents.get(canonical)
             if previous is not None:
                 # Two parents became congruent: merge their classes.
-                if self.union(previous, parent_class):
-                    parent_class = self._uf.find(parent_class)
-            new_parents[canonical] = self._uf.find(parent_class)
+                self.union(previous, parent_class)
+            new_parents[canonical] = canon[parent_class]
         for canonical, parent_class in new_parents.items():
-            existing = self._memo.get(canonical)
-            if existing is not None and self._uf.find(existing) != parent_class:
+            existing = memo.get(canonical)
+            if existing is not None and canon[existing] != parent_class:
                 self.union(existing, parent_class)
-            self._memo[canonical] = self._uf.find(parent_class)
-        eclass.parents = [(n, self._uf.find(c)) for n, c in new_parents.items()]
+            memo[canonical] = canon[parent_class]
+        eclass.parents = [(n, canon[c]) for n, c in new_parents.items()]
 
         # Deduplicate the class's own nodes under the new congruence.
         seen: Set[ENode] = set()
         unique_nodes: List[ENode] = []
         for node in eclass.nodes:
-            canonical = node.canonicalize(self._uf)
+            canonical = node.canonicalize(uf)
             if canonical not in seen:
                 seen.add(canonical)
                 unique_nodes.append(canonical)

@@ -57,6 +57,8 @@ class Extractor:
 
     def __init__(self, egraph: EGraph, cost_function: Optional[CostFunction] = None):
         self.egraph = egraph
+        #: The union-find's root array, updated in place by unions.
+        self._canon = egraph.uf.parent
         self.cost_function = cost_function or CostFunction()
         #: class id -> (cost, chosen node); populated by :meth:`_relax`.
         self._best: Dict[int, Tuple[float, ENode]] = {}
@@ -68,17 +70,17 @@ class Extractor:
         """Cost of the best term in the class, or ``None`` when the
         class contains no finishable term (can happen mid-construction
         or for classes only reachable through cycles)."""
-        entry = self._best.get(self.egraph.find(eclass_id))
+        entry = self._best.get(self._canon[eclass_id])
         return None if entry is None else entry[0]
 
     def best_node(self, eclass_id: int) -> Optional[ENode]:
         """The chosen representative e-node of the class."""
-        entry = self._best.get(self.egraph.find(eclass_id))
+        entry = self._best.get(self._canon[eclass_id])
         return None if entry is None else entry[1]
 
     def extract(self, eclass_id: int) -> ExtractionResult:
         """Materialize the chosen term rooted at ``eclass_id``."""
-        cid = self.egraph.find(eclass_id)
+        cid = self._canon[eclass_id]
         entry = self._best.get(cid)
         if entry is None:
             raise ValueError(f"e-class {cid} has no extractable term")
@@ -111,7 +113,7 @@ class Extractor:
         cyclic graph keeps "improving" forever and trips it.
         """
         egraph = self.egraph
-        find = egraph.find
+        canon = self._canon
         best = self._best
         cost_fn = self.cost_function
 
@@ -120,9 +122,9 @@ class Extractor:
         pairs: List[Tuple[int, ENode, Tuple[int, ...]]] = []
         users: Dict[int, List[int]] = {}
         for eclass in egraph.classes():
-            cid = find(eclass.id)
+            cid = canon[eclass.id]
             for node in eclass.nodes:
-                kids = tuple(find(c) for c in node.children)
+                kids = tuple(map(canon.__getitem__, node.children))
                 idx = len(pairs)
                 pairs.append((cid, node, kids))
                 for k in set(kids):
@@ -161,7 +163,7 @@ class Extractor:
                         worklist.append(uidx)
 
     def _build_term(self, cid: int, cache: Dict[int, Term]) -> Term:
-        cid = self.egraph.find(cid)
+        cid = self._canon[cid]
         hit = cache.get(cid)
         if hit is not None:
             return hit

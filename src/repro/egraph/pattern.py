@@ -45,6 +45,8 @@ __all__ = [
     "pattern",
     "pattern_vars",
     "ematch",
+    "matcher_for",
+    "run_matcher",
     "match_in_class",
     "instantiate",
     "Subst",
@@ -238,8 +240,8 @@ def _match_children(
 #: code, and CPython rejects more than 20 statically nested blocks.
 _MAX_GENERATED_LOOPS = 18
 
-#: ``match(find, classes, candidates, expired, out, leaves, consts)
-#: -> completed``.
+#: ``match(canon, classes, candidates, expired, out, leaves, consts)
+#: -> completed``; ``canon`` is the union-find's root array.
 _Matcher = Callable[..., bool]
 
 
@@ -325,7 +327,7 @@ def _shape_matcher(shape: tuple, gated: bool) -> _Matcher:
     # nearly doubles the compile time, which every process pays.
     params = body.node_consts + [f"N{k}" for k in range(body.bound)]
     head = [
-        "def match(find, classes, candidates, expired, out, leaves, consts):",
+        "def match(canon, classes, candidates, expired, out, leaves, consts):",
         f"    {', '.join(params)}, = consts",
     ]
     if body.leaves:
@@ -389,7 +391,7 @@ class _MatcherBody:
         self.emit(depth + 1, "continue")
         for index, child in enumerate(children):
             if isinstance(child, tuple):
-                depth = self.node(child, f"find({x}[{index}])", depth)
+                depth = self.node(child, f"canon[{x}[{index}]]", depth)
                 continue
             if isinstance(child, str):
                 test = child
@@ -397,10 +399,10 @@ class _MatcherBody:
             elif child < self.bound:
                 test = f"v{child}"
             else:
-                self.emit(depth, f"v{child} = find({x}[{index}])")
+                self.emit(depth, f"v{child} = canon[{x}[{index}]]")
                 self.bound += 1
                 continue
-            self.emit(depth, f"if find({x}[{index}]) != {test}:")
+            self.emit(depth, f"if canon[{x}[{index}]] != {test}:")
             self.emit(depth + 1, "continue")
         return depth
 
@@ -466,15 +468,43 @@ def ematch(
     ``None`` scans everything.  With upward dirty propagation this is
     exact: a match rooted at a clean class cannot have changed.
     """
+    polled = deadline is not None and deadline.at is not None
+    return run_matcher(
+        egraph, pat, matcher_for(pat, polled), deadline, since, counters
+    )
+
+
+def matcher_for(
+    pat: Pattern, polled: bool
+) -> Optional[Tuple[_Matcher, tuple, Tuple[ENode, ...]]]:
+    """What :func:`ematch` runs for ``pat``: the generated matcher of
+    its shape with its constants and leaves, or ``None`` for the
+    interpreter.  ``polled`` selects the variant that polls a deadline
+    (one whose ``at`` is set).  A caller that searches one pattern
+    again and again resolves it once and calls :func:`run_matcher`."""
+    if isinstance(pat, PNode):
+        return _generated_matcher(pat, polled)
+    return None
+
+
+def run_matcher(
+    egraph: EGraph,
+    pat: Pattern,
+    generated: Optional[Tuple[_Matcher, tuple, Tuple[ENode, ...]]],
+    deadline=None,
+    since: Optional[int] = None,
+    counters: Optional[MatchCounters] = None,
+) -> List[Tuple[int, Subst]]:
+    """:func:`ematch` with the matcher already resolved: ``generated``
+    is ``matcher_for(pat, polled)``, where ``polled`` says whether
+    ``deadline`` is set and can expire."""
     results: List[Tuple[int, Subst]] = []
     polled = deadline is not None and deadline.at is not None
-    generated = None
     if isinstance(pat, PNode):
         # Only classes containing the root operator can match; the
         # e-graph's operator index prunes the scan, and the dirty-set
         # filter prunes it further for incremental searches.
         candidates = egraph.classes_with_op(pat.op, since=since, counters=counters)
-        generated = _generated_matcher(pat, polled)
     else:
         candidates = egraph.dirty_class_ids(since=since, counters=counters)
     if generated is not None:
@@ -484,10 +514,10 @@ def ematch(
             # A leaf absent from the graph: nothing can match.
             return results
         # Searches never mutate the graph, so the matcher may read the
-        # class table and union-find directly.
+        # class table and the union-find's root array directly.
         completed = matcher(
-            egraph.uf.find,
-            egraph._classes,
+            egraph.uf.parent,
+            egraph.class_table,
             candidates,
             deadline.expired if polled else None,
             results,

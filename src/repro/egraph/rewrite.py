@@ -31,17 +31,18 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Hashable, Iterable, List, Optional, Tuple, Union
 
 from .egraph import EGraph
 from .pattern import (
     MatchCounters,
     Pattern,
     Subst,
-    ematch,
     instantiate,
+    matcher_for,
     pattern,
     pattern_vars,
+    run_matcher,
 )
 from .scheduler import Deadline
 
@@ -56,7 +57,6 @@ __all__ = [
 ]
 
 
-@dataclass
 class Match:
     """One place a rule can fire.
 
@@ -71,15 +71,33 @@ class Match:
     matches of one rule with equal keys build the same RHS and union it
     with the same class.  The runner keeps a seen-set of applied keys
     so a saturated rule stops paying apply+union cost for no-op
-    rebuilds.  Non-negative ints in the key are treated as e-class ids
-    and canonicalized before comparison; anything else is compared
-    verbatim.  ``None`` disables deduplication for the match.
+    rebuilds.  A key is a pair ``(ids, extra)``: ``ids`` is a flat tuple
+    of e-class ids, canonicalized before comparison, and ``extra`` is a
+    small hashable holding everything else (sentinels, flags, widths),
+    compared verbatim.  Keep ``extra`` free of string hashing and
+    cheap to store: the runner keeps one key per applied match.
+    ``None`` disables deduplication for the match.
     """
 
-    eclass: int
-    build: Callable[[EGraph], Optional[int]]
-    rule_name: str = ""
-    dedup_key: Optional[Tuple] = None
+    __slots__ = ("eclass", "build", "rule_name", "dedup_key")
+
+    def __init__(
+        self,
+        eclass: int,
+        build: Callable[[EGraph], Optional[int]],
+        rule_name: str = "",
+        dedup_key: Optional[Tuple[Tuple[int, ...], Hashable]] = None,
+    ) -> None:
+        self.eclass = eclass
+        self.build = build
+        self.rule_name = rule_name
+        self.dedup_key = dedup_key
+
+    def __repr__(self) -> str:
+        return (
+            f"Match(eclass={self.eclass!r}, rule_name={self.rule_name!r}, "
+            f"dedup_key={self.dedup_key!r})"
+        )
 
 
 @dataclass
@@ -173,6 +191,22 @@ class SyntacticRewrite(Rewrite):
         #: Every match binds exactly these names; a match's dedup key
         #: lists its bindings in this fixed order.
         self._key_vars = tuple(sorted(pattern_vars(self.lhs)))
+        #: The left-hand side's matcher per deadline variant (polled or
+        #: not), resolved on first use; see :meth:`_matcher`.
+        self._generated: dict = {}
+
+    def __getstate__(self) -> dict:
+        # Generated matchers are compiled per process and do not pickle.
+        return {**self.__dict__, "_generated": {}}
+
+    def _matcher(self, polled: bool):
+        """The left-hand side's :func:`matcher_for`, resolved once per
+        deadline variant instead of looked up by pattern per search."""
+        try:
+            return self._generated[polled]
+        except KeyError:
+            found = self._generated[polled] = matcher_for(self.lhs, polled)
+            return found
 
     def search(
         self,
@@ -182,9 +216,11 @@ class SyntacticRewrite(Rewrite):
         counters: Optional[MatchCounters] = None,
     ) -> List[Match]:
         matches: List[Match] = []
-        found = ematch(
-            egraph, self.lhs, deadline=deadline, since=since, counters=counters
+        polled = deadline is not None and deadline.at is not None
+        found = run_matcher(
+            egraph, self.lhs, self._matcher(polled), deadline, since, counters
         )
+        key_vars = self._key_vars
         for eclass_id, subst in found:
             if self.guard is not None and not self.guard(egraph, subst):
                 continue
@@ -193,8 +229,8 @@ class SyntacticRewrite(Rewrite):
             def build(eg: EGraph, _subst: Subst = subst, _rhs: Pattern = rhs) -> int:
                 return instantiate(eg, _rhs, _subst)
 
-            key = (eclass_id, *[subst[v] for v in self._key_vars])
-            matches.append(Match(eclass_id, build, self.name, dedup_key=key))
+            ids = (eclass_id, *map(subst.__getitem__, key_vars))
+            matches.append(Match(eclass_id, build, self.name, (ids, None)))
         return matches
 
 

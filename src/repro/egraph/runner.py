@@ -32,10 +32,10 @@ from __future__ import annotations
 import time
 import tracemalloc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..chaos.inject import chaos_flag, chaos_point
-from ..observability import current_session, span
+from ..observability import current_session
 from .egraph import EGraph
 from .rewrite import Match, Rewrite
 from .scheduler import BackoffScheduler, Deadline, RuleStats
@@ -366,14 +366,14 @@ class Runner:
             deduped = 0
             stop_mid_apply: Optional[str] = None
             failing_match: Optional[Match] = None
-            find = egraph.uf.find
+            # Unions update the root array in place as matches apply.
+            root_of = egraph.uf.parent.__getitem__
             try:
                 for match in all_matches:
                     failing_match = match
                     if self.dedup_matches and match.dedup_key is not None:
-                        key = (match.rule_name,) + _canonical_key(
-                            find, match.dedup_key
-                        )
+                        ids, extra = match.dedup_key
+                        key = (match.rule_name, extra, *map(root_of, ids))
                         if key in applied_keys:
                             deduped += 1
                             continue
@@ -582,23 +582,3 @@ class Runner:
         skipped = sum(s.classes_skipped for s in scheduler.stats.values())
         return visited, skipped
 
-
-def _canonical_key(find: Callable[[int], int], key: tuple) -> tuple:
-    """Canonicalize a match dedup key with the union-find's ``find``:
-    non-negative ints are e-class ids and collapse to their
-    representative; nested tuples recurse; everything else (strings,
-    negative sentinel ints) passes through.
-
-    ``type(x) is int`` deliberately excludes ``bool`` (an ``int``
-    subclass) so boolean flags in keys are never fed to ``find``.
-    """
-    out = []
-    for x in key:
-        kind = type(x)
-        if kind is int:
-            out.append(find(x) if x >= 0 else x)
-        elif kind is tuple:
-            out.append(_canonical_key(find, x))
-        else:
-            out.append(x)
-    return tuple(out)

@@ -26,7 +26,7 @@ from ..backend.codegen import c_line_count
 from ..baselines import baseline_program
 from ..egraph.egraph import EGraph
 from ..egraph.runner import Runner
-from ..kernels import make_matmul, make_qprod, table1_kernels
+from ..kernels import make_matmul, table1_kernels
 from ..kernels.base import Kernel
 from ..machine import fusion_g3, no_shuffle_machine
 from ..rules import build_ruleset

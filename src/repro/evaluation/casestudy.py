@@ -9,7 +9,6 @@ the QR share of the baseline (paper: 61%), and the end-to-end speedup
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
 
 from ..apps.theia import (
     TheiaResult,
@@ -17,7 +16,6 @@ from ..apps.theia import (
     diospyros_qr_program,
     eigen_qr_program,
 )
-from ..compiler import CompileOptions
 from .common import Budget, DEFAULT_BUDGET, render_table
 
 __all__ = ["CaseStudyResult", "run_casestudy", "render_casestudy"]

@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..compiler import CompileOptions, CompileResult, compile_spec
-from ..errors import CompileError, is_resource_failure
+from ..errors import is_resource_failure
 from ..kernels.base import Kernel
 from ..machine import MachineConfig, fusion_g3, simulate
 

@@ -9,7 +9,7 @@ published numbers for side-by-side comparison in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..dsl.ast import unique_size

@@ -31,10 +31,10 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple, Union
 
-from .lift import ArrayDecl, Shape, Spec, lift
+from .lift import Shape, Spec, lift
 from .symbolic import Scalarish, sym_call, sym_sgn, sym_sqrt
 
 __all__ = [

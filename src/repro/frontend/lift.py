@@ -13,7 +13,7 @@ differential testing of the whole compiler.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..dsl.ast import Term, lst

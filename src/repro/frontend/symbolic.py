@@ -29,7 +29,7 @@ clean up.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from ..dsl import ast
 from ..dsl.ast import Term

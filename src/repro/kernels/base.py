@@ -10,7 +10,7 @@ kernels lives in :mod:`repro.kernels` (``TABLE1_KERNELS``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..frontend.lift import Shape, Spec, lift, random_inputs, run_reference
 

@@ -25,7 +25,7 @@ evaluation with a different table (e.g. :func:`no_shuffle_machine`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict
 
 __all__ = ["MachineConfig", "fusion_g3", "no_shuffle_machine"]

@@ -31,8 +31,8 @@ ablation benchmark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from ..backend import vir
 from .config import MachineConfig, fusion_g3

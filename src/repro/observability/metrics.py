@@ -36,7 +36,7 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 __all__ = [
     "METRICS_SCHEMA",

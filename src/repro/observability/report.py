@@ -16,7 +16,7 @@ disk-loaded captures) and produces:
 from __future__ import annotations
 
 import html
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .config import ObservabilityData
 

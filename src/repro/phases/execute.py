@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..chaos.inject import chaos_point
-from ..dsl.ast import Term
+from ..dsl.ast import Term, unique_size
 from ..egraph.egraph import EGraph, ENode
 from ..egraph.extract import CostFunction, Extractor
 from ..egraph.runner import Runner, RunReport, StopReason
@@ -317,7 +317,7 @@ def execute_plan(
                     phase=phase.name,
                     index=index,
                     plan=plan.name,
-                    seed_size=len(term.args) if term.args else 1,
+                    seed_size=unique_size(term),
                 )
             phase_report, term, egraph, root, crash, cut = _run_phase(
                 spec, options, fingerprint, index, phase, term, base_cost,

@@ -13,7 +13,8 @@ uses; its flags correspond to the paper's configuration knobs:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+import functools
+from typing import List, Optional, Sequence, Tuple
 
 from ..egraph.rewrite import Rewrite
 from .ac import ac_rules, associativity_rules, commutativity_rules
@@ -60,9 +61,30 @@ def build_ruleset(
     filter; tag families shipped here are ``scalar``, ``split``,
     ``vectorize``, ``mac``, ``vector-identity``, ``vector`` (union of
     the four vector families), and ``ac``.
+
+    The shipped rules are built once per process and configuration
+    and shared between calls; each call returns a fresh list.
     """
     if width < 1:
         raise ValueError(f"vector width must be positive, got {width}")
+    rules = list(_shipped_rules(width, enable_scalar, enable_vector, enable_ac))
+    if extra_rules:
+        rules.extend(extra_rules)
+    if only_tags is not None:
+        wanted = frozenset(only_tags)
+        rules = [rule for rule in rules if rule.has_any_tag(wanted)]
+    if not rules:
+        raise ValueError("ruleset is empty; enable at least one family")
+    return rules
+
+
+@functools.lru_cache(maxsize=64)
+def _shipped_rules(
+    width: int, enable_scalar: bool, enable_vector: bool, enable_ac: bool
+) -> Tuple[Rewrite, ...]:
+    """The shipped families for one configuration.  A rule holds no
+    per-compile state (the scheduler keeps that, by rule name), so one
+    set of rule objects serves every compile in the process."""
     rules: List[Rewrite] = []
     if enable_scalar:
         rules.extend(scalar_rules())
@@ -74,11 +96,4 @@ def build_ruleset(
         rules.extend(vector_identity_rules(width))
     if enable_ac:
         rules.extend(ac_rules())
-    if extra_rules:
-        rules.extend(extra_rules)
-    if only_tags is not None:
-        wanted = frozenset(only_tags)
-        rules = [rule for rule in rules if rule.has_any_tag(wanted)]
-    if not rules:
-        raise ValueError("ruleset is empty; enable at least one family")
-    return rules
+    return tuple(rules)

@@ -30,18 +30,16 @@ cost model can choose the single-array gather layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from ..egraph.egraph import EGraph, ENode
 from ..egraph.rewrite import CustomRewrite, Match, Rewrite, SearchContext
-from .vector import operand_sort_key
+from .vector import Canon, Classes, operand_sort_key
 
 __all__ = ["mac_rule"]
 
 
-@dataclass(frozen=True)
-class _LaneMac:
+class _LaneMac(NamedTuple):
     """One lane's decomposition into ``acc + (±b) * c``.
 
     ``acc`` is ``None`` for bare products; a fully-zero lane has all
@@ -56,22 +54,26 @@ class _LaneMac:
     negate_b: bool = False
 
 
-def _find_mul(egraph: EGraph, eclass_id: int) -> Optional[Tuple[int, int]]:
+def _find_mul(
+    classes: Classes, canon: Canon, eclass_id: int
+) -> Optional[Tuple[int, int]]:
     """First ``(* b c)`` node in the class, if any."""
-    for node in egraph.nodes_view(eclass_id):
+    for node in classes[canon[eclass_id]].nodes:
         if node.op == "*":
             return node.children[0], node.children[1]
     return None
 
 
-def _match_mac_lane(egraph: EGraph, lane: int) -> Optional[_LaneMac]:
+def _match_mac_lane(
+    classes: Classes, canon: Canon, lane: int
+) -> Optional[_LaneMac]:
     """Match one lane against the MAC pattern options, in priority
     order: additive forms, subtractive forms, bare product, zero.  One
     pass over the lane's nodes notes the first product and any zero
     while it looks for the additive and subtractive forms."""
     mul_node: Optional[ENode] = None
     zero = False
-    for node in egraph.nodes_view(lane):
+    for node in classes[canon[lane]].nodes:
         if node.op == "*":
             if mul_node is None:
                 mul_node = node
@@ -79,19 +81,19 @@ def _match_mac_lane(egraph: EGraph, lane: int) -> Optional[_LaneMac]:
             zero = zero or node.value == 0
         elif node.op == "+":
             left, right = node.children
-            mul = _find_mul(egraph, right)
+            mul = _find_mul(classes, canon, right)
             if mul is not None:
                 return _LaneMac(left, mul[0], mul[1])
-            mul = _find_mul(egraph, left)
+            mul = _find_mul(classes, canon, left)
             if mul is not None:
                 return _LaneMac(right, mul[0], mul[1])
         elif node.op == "-":
             left, right = node.children
-            mul = _find_mul(egraph, right)
+            mul = _find_mul(classes, canon, right)
             if mul is not None:
                 # a - b*c == a + (-b)*c
                 return _LaneMac(left, mul[0], mul[1], negate_b=True)
-            mul = _find_mul(egraph, left)
+            mul = _find_mul(classes, canon, left)
             if mul is not None:
                 # b*c - a == (-a) + b*c
                 return _LaneMac(right, mul[0], mul[1], negate_acc=True)
@@ -107,25 +109,29 @@ def mac_rule(width: int) -> Rewrite:
 
     def searcher(egraph: EGraph, ctx: SearchContext) -> List[Match]:
         matches: List[Match] = []
+        classes = egraph.class_table
+        canon = egraph.uf.parent
         candidates = egraph.classes_with_op(
             "Vec", since=ctx.since, counters=ctx.counters
         )
         for root in candidates:
-            for node in egraph.nodes_view(root):
+            for node in classes[root].nodes:
                 if node.op != "Vec" or len(node.children) != width:
                     continue
-                matches.extend(_mac_matches_for(egraph, root, node))
+                matches.extend(_mac_matches_for(classes, canon, root, node))
         return matches
 
     return CustomRewrite(f"vec-mac-w{width}", searcher, tags=("mac", "vector"))
 
 
-def _mac_matches_for(egraph: EGraph, root: int, node: ENode) -> List[Match]:
+def _mac_matches_for(
+    classes: Classes, canon: Canon, root: int, node: ENode
+) -> List[Match]:
     lanes = node.children
     per_lane: List[_LaneMac] = []
     mul_lanes = 0
     for lane in lanes:
-        found = _match_mac_lane(egraph, lane)
+        found = _match_mac_lane(classes, canon, lane)
         if found is None:
             return []
         if found.b is not None:
@@ -156,21 +162,26 @@ def _mac_matches_for(egraph: EGraph, root: int, node: ENode) -> List[Match]:
         return build
 
     def dedup_key(choice: List[_LaneMac]) -> Tuple:
-        # -2 marks zero-pad slots (negative => never a class id); the
-        # negate flags ride along as booleans, which canonicalization
-        # leaves untouched.
-        flat: List = [root]
-        for l in choice:
-            flat.extend(
-                (
-                    -2 if l.acc is None else l.acc,
-                    -2 if l.b is None else l.b,
-                    -2 if l.c is None else l.c,
-                    l.negate_acc,
-                    l.negate_b,
-                )
-            )
-        return tuple(flat)
+        # ``flags`` packs five bits a lane after a leading 1: which of
+        # acc, b and c are zero pads (and so absent from ``ids``), and
+        # the two negations.
+        ids = [root]
+        flags = 1
+        for acc, b, c, negate_acc, negate_b in choice:
+            flags = flags << 5 | negate_acc << 3 | negate_b << 4
+            if acc is None:
+                flags |= 1
+            else:
+                ids.append(acc)
+            if b is None:
+                flags |= 2
+            else:
+                ids.append(b)
+            if c is None:
+                flags |= 4
+            else:
+                ids.append(c)
+        return tuple(ids), flags
 
     matches = [
         Match(root, assemble(per_lane), "vec-mac", dedup_key=dedup_key(per_lane))
@@ -183,7 +194,9 @@ def _mac_matches_for(egraph: EGraph, root: int, node: ENode) -> List[Match]:
     for lane_match in per_lane:
         b, c = lane_match.b, lane_match.c
         if b is not None and c is not None:
-            if operand_sort_key(egraph, c) < operand_sort_key(egraph, b):
+            if operand_sort_key(classes, canon, c) < operand_sort_key(
+                classes, canon, b
+            ):
                 lane_match = _LaneMac(
                     lane_match.acc, c, b,
                     lane_match.negate_acc, lane_match.negate_b,

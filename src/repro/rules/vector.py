@@ -31,10 +31,10 @@ for memory reasons (Section 3.3).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..dsl.ops import SCALAR_BINOPS, SCALAR_UNOPS
-from ..egraph.egraph import EGraph, ENode
+from ..egraph.egraph import EClass, EGraph, ENode
 from ..egraph.rewrite import CustomRewrite, Match, Rewrite, SearchContext, rewrite
 
 __all__ = [
@@ -51,16 +51,26 @@ _COMMUTATIVE = {"+", "*"}
 #: lane still computes zero: 0 op identity == 0.
 _PAD_SECOND_OPERAND = {"+": 0.0, "-": 0.0, "*": 1.0, "/": 1.0}
 
+#: The searchers read the graph through these two, bound once per
+#: search: ``EGraph.class_table`` and the root array ``EGraph.uf.parent``
+#: (the nodes of the class of ``x`` are ``classes[canon[x]].nodes``).
+Classes = Dict[int, EClass]
+Canon = Sequence[int]
 
-def _class_literal(egraph: EGraph, eclass_id: int) -> Optional[float]:
+
+def _class_literal(
+    classes: Classes, canon: Canon, eclass_id: int
+) -> Optional[float]:
     """The numeric literal in the class, if any."""
-    for n in egraph.nodes_view(eclass_id):
+    for n in classes[canon[eclass_id]].nodes:
         if n.op == "Num":
             return float(n.value)  # type: ignore[arg-type]
     return None
 
 
-def operand_sort_key(egraph: EGraph, eclass_id: int) -> Tuple[int, str, float]:
+def operand_sort_key(
+    classes: Classes, canon: Canon, eclass_id: int
+) -> Tuple[int, str, float]:
     """Locality key used to canonically order commutative operands.
 
     ``Get`` operands sort first, grouped by array name then index, so
@@ -68,22 +78,22 @@ def operand_sort_key(egraph: EGraph, eclass_id: int) -> Tuple[int, str, float]:
     *same* array in the *same* operand vector.
     """
     best: Optional[Tuple[int, str, float]] = None
-    for node in egraph.nodes_view(eclass_id):
+    for node in classes[canon[eclass_id]].nodes:
         key: Optional[Tuple[int, str, float]] = None
         if node.op == "Get":
-            array = _symbol_name(egraph, node.children[0])
-            index = _class_literal(egraph, node.children[1])
+            array = _symbol_name(classes, canon, node.children[0])
+            index = _class_literal(classes, canon, node.children[1])
             if array is not None and index is not None:
                 key = (0, array, index)
         elif node.op == "Num":
             key = (1, "", float(node.value))  # type: ignore[arg-type]
         if key is not None and (best is None or key < best):
             best = key
-    return best if best is not None else (2, "", float(egraph.uf.find(eclass_id)))
+    return best if best is not None else (2, "", float(canon[eclass_id]))
 
 
-def _symbol_name(egraph: EGraph, eclass_id: int) -> Optional[str]:
-    for node in egraph.nodes_view(eclass_id):
+def _symbol_name(classes: Classes, canon: Canon, eclass_id: int) -> Optional[str]:
+    for node in classes[canon[eclass_id]].nodes:
         if node.op == "Symbol":
             return str(node.value)
     return None
@@ -105,11 +115,12 @@ def list_split_rule(width: int) -> Rewrite:
 
     def searcher(egraph: EGraph, ctx: SearchContext) -> List[Match]:
         matches: List[Match] = []
+        classes = egraph.class_table
         candidates = egraph.classes_with_op(
             "List", since=ctx.since, counters=ctx.counters
         )
         for cid in candidates:
-            for node in egraph.nodes_view(cid):
+            for node in classes[cid].nodes:
                 if node.op != "List":
                     continue
                 lanes = node.children
@@ -119,9 +130,7 @@ def list_split_rule(width: int) -> Rewrite:
                 ) -> int:
                     return _build_chunks(eg, _lanes, width)
 
-                # Width rides along as a string: a bare non-negative
-                # int would be canonicalized as a class id.
-                key = (cid, lanes, f"w{width}")
+                key = ((cid, *lanes), width)
                 matches.append(Match(cid, build, "list-split", dedup_key=key))
         return matches
 
@@ -154,7 +163,7 @@ _LaneBin = Tuple[int, int]
 
 
 def _match_binary_lane(
-    egraph: EGraph, lane: int, op: str
+    classes: Classes, canon: Canon, lane: int, op: str
 ) -> Optional[List[_LaneBin]]:
     """All ways this lane can feed a lane of ``VecOp``.
 
@@ -164,7 +173,7 @@ def _match_binary_lane(
     """
     candidates: List[_LaneBin] = []
     literal = False
-    for node in egraph.nodes_view(lane):
+    for node in classes[canon[lane]].nodes:
         if node.op == op:
             a, b = node.children
             candidates.append((a, b))
@@ -186,16 +195,20 @@ def binary_vectorize_rule(width: int) -> Rewrite:
 
     def searcher(egraph: EGraph, ctx: SearchContext) -> List[Match]:
         matches: List[Match] = []
+        classes = egraph.class_table
+        canon = egraph.uf.parent
         candidates = egraph.classes_with_op(
             "Vec", since=ctx.since, counters=ctx.counters
         )
         for root in candidates:
-            for node in egraph.nodes_view(root):
+            for node in classes[root].nodes:
                 if node.op != "Vec" or len(node.children) != width:
                     continue
                 for op, vec_op in SCALAR_BINOPS.items():
                     matches.extend(
-                        _binary_matches_for(egraph, root, node, op, vec_op)
+                        _binary_matches_for(
+                            classes, canon, root, node, op, vec_op
+                        )
                     )
         return matches
 
@@ -205,13 +218,14 @@ def binary_vectorize_rule(width: int) -> Rewrite:
 
 
 def _binary_matches_for(
-    egraph: EGraph, root: int, node: ENode, op: str, vec_op: str
+    classes: Classes, canon: Canon, root: int, node: ENode, op: str,
+    vec_op: str,
 ) -> List[Match]:
     lanes = node.children
     per_lane: List[List[_LaneBin]] = []
     op_lanes = 0
     for lane in lanes:
-        found = _match_binary_lane(egraph, lane, op)
+        found = _match_binary_lane(classes, canon, lane, op)
         if found is None:
             return []
         if found[0] != (-1, -1):
@@ -242,9 +256,18 @@ def _binary_matches_for(
     def dedup_key(choice: List[_LaneBin]) -> Tuple:
         # Lanes matter beyond the choice: literal pass-through lanes
         # ((-1, -1) sentinels) reuse the lane class itself at build
-        # time.  Sentinels are negative, so canonicalization never
-        # confuses them with class ids.
-        return (root, vec_op) + tuple(lanes) + tuple(choice)
+        # time.  The mask holds one bit a lane, set for a sentinel,
+        # after a leading 1; ``vec_op`` follows from the rule name.
+        ids = [root, *lanes]
+        mask = 1
+        for a, b in choice:
+            mask <<= 1
+            if (a, b) == (-1, -1):
+                mask |= 1
+            else:
+                ids.append(a)
+                ids.append(b)
+        return tuple(ids), mask
 
     # Candidate 1: first discovered operand order per lane.
     identity_choice = [options[0] for options in per_lane]
@@ -265,7 +288,9 @@ def _binary_matches_for(
             best = options[0]
             if best != (-1, -1):
                 a, b = best
-                if operand_sort_key(egraph, b) < operand_sort_key(egraph, a):
+                if operand_sort_key(classes, canon, b) < operand_sort_key(
+                    classes, canon, a
+                ):
                     best = (b, a)
             sorted_choice.append(best)
         if sorted_choice != identity_choice:
@@ -286,15 +311,19 @@ def unary_vectorize_rule(width: int) -> Rewrite:
 
     def searcher(egraph: EGraph, ctx: SearchContext) -> List[Match]:
         matches: List[Match] = []
+        classes = egraph.class_table
+        canon = egraph.uf.parent
         candidates = egraph.classes_with_op(
             "Vec", since=ctx.since, counters=ctx.counters
         )
         for root in candidates:
-            for node in egraph.nodes_view(root):
+            for node in classes[root].nodes:
                 if node.op != "Vec" or len(node.children) != width:
                     continue
                 for op, vec_op in SCALAR_UNOPS.items():
-                    match = _unary_match_for(egraph, root, node, op, vec_op)
+                    match = _unary_match_for(
+                        classes, canon, root, node, op, vec_op
+                    )
                     if match is not None:
                         matches.append(match)
         return matches
@@ -305,7 +334,8 @@ def unary_vectorize_rule(width: int) -> Rewrite:
 
 
 def _unary_match_for(
-    egraph: EGraph, root: int, node: ENode, op: str, vec_op: str
+    classes: Classes, canon: Canon, root: int, node: ENode, op: str,
+    vec_op: str,
 ) -> Optional[Match]:
     lanes = node.children
     args: List[Optional[int]] = []
@@ -313,7 +343,7 @@ def _unary_match_for(
     for lane in lanes:
         found = None
         zero = False
-        for candidate in egraph.nodes_view(lane):
+        for candidate in classes[canon[lane]].nodes:
             if candidate.op == op:
                 found = candidate.children[0]
                 break
@@ -335,9 +365,17 @@ def _unary_match_for(
         inner = eg.add(ENode("Vec", lane_ids))
         return eg.add(ENode(vec_op, (inner,)))
 
-    # -2 marks zero-pad lanes (negative => never mistaken for a class).
-    key = (root, vec_op) + tuple(-2 if a is None else a for a in args)
-    return Match(root, build, f"vec-{op}", dedup_key=key)
+    # The mask holds one bit a lane, set for a zero pad, after a
+    # leading 1; ``vec_op`` follows from the rule name.
+    ids = [root]
+    mask = 1
+    for a in args:
+        mask <<= 1
+        if a is None:
+            mask |= 1
+        else:
+            ids.append(a)
+    return Match(root, build, f"vec-{op}", dedup_key=(tuple(ids), mask))
 
 
 # ---------------------------------------------------------------------------

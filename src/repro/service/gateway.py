@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple

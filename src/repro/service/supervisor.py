@@ -34,15 +34,14 @@ import tempfile
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import wait as _mp_wait
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..chaos.inject import chaos_flag, current_plan, set_attempt
 from ..compiler import CompileOptions, CompileResult, compile_spec
 from ..errors import (
     CircuitOpenError,
-    CompileError,
     DeadlineExceededError,
     ShutdownError,
     WorkerCrashError,

@@ -163,3 +163,37 @@ class TestLookup:
         eg.add_term(parse("(+ 1 2)"))
         text = eg.dump()
         assert "e0" in text and "+" in text
+
+
+class TestENode:
+    def test_numerically_equal_literals_are_one_node(self):
+        assert ENode("Num", (), 0) == ENode("Num", (), 0.0)
+        assert hash(ENode("Num", (), 0)) == hash(ENode("Num", (), 0.0))
+        eg = EGraph()
+        assert eg.add(ENode("Num", (), 0)) == eg.add(ENode("Num", (), 0.0))
+        assert eg.num_nodes == 1
+
+    def test_immutable_and_without_instance_dict(self):
+        node = ENode("+", (0, 1))
+        with pytest.raises(AttributeError):
+            node.op = "-"
+        assert not hasattr(node, "__dict__")
+        assert node == ENode(op="+", children=(0, 1), value=None)
+        assert repr(node) == "ENode(op='+', children=(0, 1), value=None)"
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        for node in (ENode("Symbol", (), "a"), ENode("VecMAC", (3, 4, 5))):
+            clone = pickle.loads(pickle.dumps(node))
+            assert clone == node and type(clone) is ENode
+            assert hash(clone) == hash(node)
+
+    def test_canonicalize_reads_the_root_array(self):
+        eg = EGraph()
+        a, b = eg.add(ENode("Symbol", (), "a")), eg.add(ENode("Symbol", (), "b"))
+        node = ENode("+", (a, b))
+        assert node.canonicalize(eg.uf) is node
+        eg.union(a, b)
+        root = eg.find(a)
+        assert node.canonicalize(eg.uf) == ENode("+", (root, root))

@@ -21,6 +21,7 @@ from repro.egraph.egraph import EGraph
 from repro.egraph.rewrite import CustomRewrite
 from repro.evaluation.common import measure
 from repro.kernels import get_kernel
+from repro.observability import Observability
 from repro.phases import (
     ON_MISS_POLICIES,
     All,
@@ -306,6 +307,23 @@ def test_phased_compile_seeds_once_per_round(monkeypatch):
     fresh = EGraph()
     add_term(fresh, spec.term)
     assert result.report.seed_version == rounds[0].seed_version == fresh.version
+
+
+def test_phase_start_logs_the_seed_node_count():
+    """The flight recorder's ``phase_start`` reports the size of the
+    graph the phase is seeded with, not the root's arity."""
+    spec = get_kernel("2dconv-3x3-2x2").spec()
+    options = CompileOptions(time_limit=None, validate=False, phases="on",
+                             seed=0, observability=Observability.on())
+    result = compile_spec(spec, options)
+    logged = [
+        e["details"]["seed_size"]
+        for e in result.observability.recorder["events"]
+        if e["kind"] == "phase_start"
+    ]
+    seeded = [phase.rounds[0].seed_version for phase in result.phases.phases]
+    assert len(seeded) > 1
+    assert logged == seeded
 
 
 def test_plan_cut_before_phase_one_extracts_the_spec():

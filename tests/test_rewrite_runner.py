@@ -61,6 +61,26 @@ class TestSyntacticRewrite:
         assert eg.equiv(parse("(- x y)"), parse("(+ x (neg y))"))
 
 
+    def test_pickles_after_searching(self):
+        """A rule keeps its resolved matchers across searches, but they
+        are compiled per process: pickling drops them (compile results
+        carry ``extra_rules`` into the artifact cache)."""
+        import pickle
+
+        from repro.egraph.scheduler import Deadline
+
+        eg = EGraph()
+        eg.add_term(parse("(+ (Get a 0) 0)"))
+        rule = rewrite("add-0", "(+ ?a 0)", "?a")
+        assert len(rule.search(eg)) == 1
+        assert len(rule.search(eg, deadline=Deadline.after(60.0))) == 1
+        clone = pickle.loads(pickle.dumps(rule))
+        assert len(clone.search(eg)) == 1
+        assert [m.dedup_key for m in clone.search(eg)] == [
+            m.dedup_key for m in rule.search(eg)
+        ]
+
+
 class TestCustomRewrite:
     def test_custom_searcher(self):
         def searcher(eg):

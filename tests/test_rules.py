@@ -315,3 +315,26 @@ class TestRulesetBuilder:
         extra = mk("recip", "(/ 1 ?x)", "(recip ?x)")
         rules = build_ruleset(width=4, extra_rules=[extra])
         assert rules[-1] is extra
+
+    def test_shipped_rules_are_built_once_and_lists_are_fresh(self):
+        from repro.egraph import rewrite as mk
+
+        first = build_ruleset(width=4)
+        second = build_ruleset(width=4)
+        assert first is not second
+        assert len(first) == len(second)
+        assert all(a is b for a, b in zip(first, second))
+        shipped = list(first)
+        first.append(mk("stray", "(+ ?x 0)", "?x"))
+        first.reverse()
+        again = build_ruleset(width=4)
+        assert len(again) == len(shipped)
+        assert all(a is b for a, b in zip(again, shipped))
+        # Extensions and tag filters still apply per call.
+        extra = mk("recip", "(/ 1 ?x)", "(recip ?x)")
+        extended = build_ruleset(width=4, extra_rules=[extra])
+        assert extended[-1] is extra
+        assert all(a is b for a, b in zip(extended, shipped))
+        mac_only = build_ruleset(width=4, extra_rules=[extra], only_tags=["mac"])
+        assert [r.name for r in mac_only] == ["vec-mac-w4", "recip"]
+        assert "list-split-w2" in {r.name for r in build_ruleset(width=2)}
