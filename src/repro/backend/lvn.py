@@ -22,6 +22,7 @@ vendor compiler -- not Diospyros -- optimizes those.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Dict, List, Set, Tuple
 
 from . import vir
@@ -32,19 +33,24 @@ __all__ = ["run_lvn", "eliminate_dead_code", "optimize"]
 _COMMUTATIVE_BIN = {"+", "*"}
 
 
+@functools.cache
+def _operands(cls: type) -> Tuple[str, ...]:
+    """Names of an instruction class's fields other than ``dst``, in
+    declaration order (resolved once per class)."""
+    return tuple(f.name for f in dataclasses.fields(cls) if f.name != "dst")
+
+
 def _rewrite_uses(instr: Instr, replacement: Dict[str, str]) -> Instr:
     """Return ``instr`` with every used register renamed through the
     replacement map (definitions are left alone)."""
     updates = {}
-    for field in dataclasses.fields(instr):
-        value = getattr(instr, field.name)
-        if field.name in ("dst",):
-            continue
+    for name in _operands(type(instr)):
+        value = getattr(instr, name)
         if isinstance(value, str) and value in replacement:
             # Register operands are the only string fields that can be
             # in the map (array names and labels never collide with
             # register names by construction: regs are s<N>/v<N>).
-            updates[field.name] = replacement[value]
+            updates[name] = replacement[value]
     if not updates:
         return instr
     return dataclasses.replace(instr, **updates)
@@ -59,12 +65,7 @@ def _value_key(instr: Instr) -> Tuple:
         return (kind, instr.op) + tuple(sorted((instr.a, instr.b)))
     if isinstance(instr, vir.VMac):
         return (kind, instr.acc) + tuple(sorted((instr.a, instr.b)))
-    parts: List = [kind]
-    for field in dataclasses.fields(instr):
-        if field.name == "dst":
-            continue
-        parts.append(getattr(instr, field.name))
-    return tuple(parts)
+    return (kind, *[getattr(instr, name) for name in _operands(type(instr))])
 
 
 def run_lvn(program: Program) -> Program:

@@ -72,6 +72,7 @@ from .observability import (
     ObservabilityData,
     ObservabilitySession,
     activate,
+    count,
     current_session,
     span,
     write_compile_artifacts,
@@ -448,20 +449,12 @@ def _export_failure(
     session.record_event(
         "compile_crashed", error=f"{type(exc).__name__}: {exc}"
     )
-    if session.metrics is not None:
-        _compiles_total(session).labels(status="error").inc()
+    count("repro_compiles_total", "Compilations finished, by outcome",
+          status="error")
     data = session.export()
     write_compile_artifacts(data, obs, spec.name, failed=True)
     if isinstance(exc, CompileError):
         exc.partial.setdefault("observability", data)
-
-
-def _compiles_total(session: ObservabilitySession):
-    return session.metrics.counter(
-        "repro_compiles_total",
-        "Compilations finished, by outcome",
-        labels=("status",),
-    )
 
 
 def _compile_pipeline(
@@ -550,7 +543,8 @@ def _record_compile_metrics(result: CompileResult) -> None:
             if result.degraded
             else ("timeout" if result.timed_out else "ok")
         )
-        _compiles_total(session).labels(status=status).inc()
+        count("repro_compiles_total", "Compilations finished, by outcome",
+              status=status)
         session.metrics.histogram(
             "repro_egraph_nodes",
             "Final e-graph size per compile",

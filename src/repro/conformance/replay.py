@@ -14,7 +14,7 @@ around this module, so fixing a replay bug fixes every repro at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 from ..compiler import CompileOptions, compile_spec
@@ -33,24 +33,16 @@ __all__ = [
 
 REPRO_SCHEMA = "conformance_repro/v1"
 
-#: CompileOptions fields a repro serializes: every scalar knob that can
-#: change compilation behavior.  Non-scalar fields (extra_rules,
-#: observability) are deliberately excluded -- a repro must be a
+#: CompileOptions fields a repro serializes: every field but the ones
+#: that are not plain JSON (``extra_rules``, ``observability``) or only
+#: name plumbing (``checkpoint_dir``, ``deadline``) -- a repro must be a
 #: plain-JSON artifact; divergences that depend on injected rules
 #: replay by passing the same ``options`` object in-process.
-_OPTION_FIELDS = (
-    "vector_width",
-    "iter_limit",
-    "node_limit",
-    "time_limit",
-    "match_limit",
-    "enable_vector_rules",
-    "select_best_candidate",
-    "validate",
-    "track_memory",
-    "fault_tolerance",
-    "checkpoint_stride",
-    "seed",
+_OPTION_FIELDS = tuple(
+    f.name
+    for f in fields(CompileOptions)
+    if f.name
+    not in ("extra_rules", "observability", "checkpoint_dir", "deadline")
 )
 
 

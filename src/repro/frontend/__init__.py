@@ -5,8 +5,10 @@
   tracing-based symbolic evaluation.
 * :mod:`repro.frontend.lift`     -- :func:`lift` reference kernels into
   vector-DSL specs; concrete execution for testing.
-* :mod:`repro.frontend.lang`     -- a structured imperative input
-  language (the Racket-DSL analogue).
+
+Every kernel enters the compiler this way: the paper kernels, the
+evaluation, the CLI and the examples lift traced Python functions, and
+the fuzzers build :class:`Spec` terms directly.
 """
 
 from .lift import ArrayDecl, Spec, lift, random_inputs, run_reference

@@ -70,10 +70,6 @@ class Spec:
     def n_outputs(self) -> int:
         return sum(o.length for o in self.outputs)
 
-    @property
-    def input_names(self) -> List[str]:
-        return [i.name for i in self.inputs]
-
     def __post_init__(self) -> None:
         if self.term.op != "List":
             raise ValueError("spec term must be a top-level List")

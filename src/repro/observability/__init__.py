@@ -23,8 +23,10 @@ from .config import (
     ObservabilityData,
     ObservabilitySession,
     activate,
+    count,
     current_session,
     event,
+    gauge,
     span,
     write_compile_artifacts,
 )
@@ -64,6 +66,8 @@ __all__ = [
     "current_session",
     "span",
     "event",
+    "count",
+    "gauge",
     "write_compile_artifacts",
     "render_text",
     "render_html",

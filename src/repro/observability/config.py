@@ -13,12 +13,12 @@ Two layers, split so the sandboxed-worker path keeps working:
   ``CompileResult``, where a supervisor can re-parent the worker's
   spans into its own trace (:meth:`repro.observability.trace.Tracer.adopt`).
 
-Instrumentation sites use the module-level :func:`span`, :func:`event`
-and :func:`session_metrics` helpers, which consult a context variable
-holding the active session.  When observability is off (the default)
-the context variable is ``None`` and every helper is a single load +
-``None`` check -- the pipeline constructs no tracer, no registry, no
-recorder, and records nothing (asserted by
+Instrumentation sites use the module-level :func:`span`, :func:`event`,
+:func:`count` and :func:`gauge` helpers, which consult a context
+variable holding the active session.  When observability is off (the
+default) the context variable is ``None`` and every helper is a single
+load + ``None`` check -- the pipeline constructs no tracer, no
+registry, no recorder, and records nothing (asserted by
 ``tests/test_observability.py``).
 """
 
@@ -47,6 +47,8 @@ __all__ = [
     "activate",
     "span",
     "event",
+    "count",
+    "gauge",
 ]
 
 OBS_SCHEMA = "repro_observability/v1"
@@ -201,6 +203,24 @@ def event(kind: str, **details: Any) -> None:
     session = _ACTIVE.get()
     if session is not None:
         session.record_event(kind, **details)
+
+
+def count(name: str, help_text: str, amount: float = 1, **labels: str) -> None:
+    """Add ``amount`` to a counter on the ambient metrics registry (no-op
+    without a session that records metrics); ``labels`` pick the child."""
+    session = _ACTIVE.get()
+    if session is None or session.metrics is None:
+        return
+    counter = session.metrics.counter(name, help_text, tuple(sorted(labels)))
+    (counter.labels(**labels) if labels else counter).inc(amount)
+
+
+def gauge(name: str, help_text: str, value: float) -> None:
+    """Set a gauge on the ambient metrics registry (no-op without a
+    session that records metrics)."""
+    session = _ACTIVE.get()
+    if session is not None and session.metrics is not None:
+        session.metrics.gauge(name, help_text).set(value)
 
 
 def write_compile_artifacts(

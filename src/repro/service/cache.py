@@ -18,17 +18,23 @@ everything that could change the answer:
   switches, cost configuration, ...); extra rules contribute their
   names.
 
-Durability contract (exercised by ``tests/test_service_cache.py``):
+This module also owns the crash-safe *record* format that cache entries
+and saturation checkpoints (:mod:`repro.service.checkpoint`) share: a
+magic line, a JSON header (key, code version, SHA-256 of the payload)
+and a pickle payload.  Its durability contract (exercised by
+``tests/test_service_cache.py`` and ``tests/test_checkpoint_resume.py``):
 
-* writes go to a temp file in the cache directory, are flushed +
-  fsynced, then published with ``os.replace`` -- a ``kill -9``
-  mid-write leaves at worst an orphan temp file, never a half entry;
-* every entry embeds a SHA-256 checksum of its payload; truncation,
-  bit flips, a stale code version, or any deserialization failure
-  degrade to a cache *miss* (counted, corrupt file quarantined), never
-  a crash or a wrong result;
+* :func:`write_record` writes a temp file in the record's directory,
+  flushes + fsyncs it, publishes it with ``os.replace`` and fsyncs the
+  directory -- a ``kill -9`` mid-write leaves at worst an orphan temp
+  file, never a half record;
+* :func:`read_record` checks the magic, the header, the payload
+  checksum, the key and the code version; truncation, bit flips, a
+  stale code version, or any deserialization failure degrade to a
+  counted *miss* with the corrupt file quarantined, never a crash or a
+  wrong result;
 * concurrent writers race benignly: ``os.replace`` is atomic, last
-  writer wins, both entries were equivalent by construction.
+  writer wins, both records were equivalent by construction.
 """
 
 from __future__ import annotations
@@ -42,9 +48,10 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..chaos.inject import chaos_point
+from ..observability.config import count, gauge
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..compiler import CompileOptions, CompileResult
@@ -64,10 +71,11 @@ __all__ = [
     "options_fingerprint",
 ]
 
-#: Bump to invalidate every existing cache entry on format changes.
+#: Bump to invalidate every existing record on format changes.
 _FORMAT = "repro-cache-v1"
 _MAGIC = b"RPROCACHE1\n"
 _SUFFIX = ".rcache"
+_TMP = ".tmp-"
 
 _code_fingerprint_cache: Optional[str] = None
 
@@ -126,9 +134,18 @@ def options_fingerprint(options: "CompileOptions") -> str:
     deadlines must coalesce onto one cache entry (and one in-flight
     compile, in the gateway's single-flight path).
     """
+    return _options_digest(options, ("checkpoint_dir", "deadline"))
+
+
+def _options_digest(
+    options: "CompileOptions", excluded: Tuple[str, ...]
+) -> str:
+    """SHA-256 of the JSON of every option not in ``excluded`` (extra
+    rules by name); :func:`repro.service.checkpoint.saturation_key`
+    digests the same JSON with more fields excluded."""
     payload = {}
     for key, value in sorted(vars(options).items()):
-        if key in ("checkpoint_dir", "deadline"):
+        if key in excluded:
             continue
         if key == "extra_rules":
             value = [getattr(r, "name", repr(r)) for r in value]
@@ -146,6 +163,121 @@ def cache_key(
         (_FORMAT, code, spec_fingerprint(spec), options_fingerprint(options))
     )
     return hashlib.sha256(joined.encode()).hexdigest()
+
+
+# ----------------------------------------------------------------------
+# The record format
+# ----------------------------------------------------------------------
+
+
+def write_record(
+    path: str, key: str, code: str, value: Any, site: str, **meta: Any
+) -> None:
+    """Publish ``value`` atomically as the record at ``path``; ``meta``
+    adds header fields.  ``site`` is the chaos seam hit before the
+    write.  Raises on any failure, leaving no temp file behind."""
+    chaos_point(site)
+    payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    header = json.dumps(
+        {
+            "format": _FORMAT,
+            "key": key,
+            "code": code,
+            "sha256": hashlib.sha256(payload).hexdigest(),
+            **meta,
+        },
+        sort_keys=True,
+    ).encode()
+    directory = os.path.dirname(path) or "."
+    fd, tmp_path = tempfile.mkstemp(
+        prefix=_TMP + key[:12] + "-", dir=directory
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(_MAGIC + header + b"\n" + payload)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_path)
+        except OSError:
+            pass
+        raise
+    try:
+        dir_fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+    except OSError:
+        pass  # durability best-effort on exotic filesystems
+
+
+def split_record(blob: bytes) -> Tuple[Dict[str, Any], bytes]:
+    """A record's header and still-pickled payload, once the magic, the
+    header and the payload checksum check out; ``ValueError`` names the
+    first check that failed."""
+    if not blob.startswith(_MAGIC):
+        raise ValueError("bad magic")
+    line, newline, payload = blob[len(_MAGIC):].partition(b"\n")
+    try:
+        header = json.loads(line.decode())
+    except ValueError:
+        header = None
+    if not newline or not isinstance(header, dict):
+        raise ValueError("unparseable header")
+    if header.get("sha256") != hashlib.sha256(payload).hexdigest():
+        raise ValueError("payload checksum mismatch")
+    return header, payload
+
+
+def read_record(
+    path: str, key: str, code: str, site: str, accept: Callable[[Any], bool]
+) -> Any:
+    """The value of the record at ``path``, or ``None`` when there is no
+    readable file.  The bytes pass the chaos seam ``site``; a record
+    that fails a check of :func:`split_record`, names another ``key``
+    or ``code`` version, does not unpickle, or holds a value ``accept``
+    rejects is moved aside to ``.corrupt`` and ``ValueError`` raised."""
+    try:
+        with open(path, "rb") as handle:
+            blob = handle.read()
+    except OSError:
+        return None
+    try:
+        header, payload = split_record(chaos_point(site, blob))
+        if header.get("key") != key:
+            raise ValueError("key mismatch")
+        if header.get("code") != code:
+            raise ValueError("stale code version")
+        value = pickle.loads(payload)
+        if not accept(value):
+            raise ValueError(f"unexpected payload {type(value).__name__}")
+    except Exception as exc:
+        try:
+            os.replace(path, path + ".corrupt")
+        except OSError:
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
+        raise ValueError(f"corrupt record {path}: {exc}") from exc
+    return value
+
+
+def sweep(root: str, suffix: str) -> int:
+    """Delete every ``suffix`` record under ``root`` with its quarantined
+    and temp-file debris; returns the number of files removed."""
+    removed = 0
+    for name in os.listdir(root):
+        if name.endswith((suffix, ".corrupt")) or name.startswith(_TMP):
+            try:
+                os.unlink(os.path.join(root, name))
+                removed += 1
+            except OSError:
+                pass
+    return removed
 
 
 @dataclass
@@ -301,7 +433,10 @@ class LRUTier:
             else:
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
-        _count_lru("hits" if entry is not None else "misses")
+        kind = "hits" if entry is not None else "misses"
+        count(
+            f"repro_cache_lru_{kind}_total", f"In-process LRU cache tier {kind}"
+        )
         return entry
 
     def put(self, key: str, value: object) -> None:
@@ -315,7 +450,10 @@ class LRUTier:
                 self.stats.evictions += 1
                 evicted += 1
         for _ in range(evicted):
-            _count_lru("evictions")
+            count(
+                "repro_cache_lru_evictions_total",
+                "In-process LRU cache tier evictions",
+            )
 
     def invalidate(self, key: str) -> None:
         with self._lock:
@@ -376,20 +514,20 @@ class ArtifactCache:
             if cached is not None:
                 self.stats.hits += 1
                 return cached
-        path = self._path(key)
         try:
-            with open(path, "rb") as handle:
-                blob = handle.read()
-        except OSError:
-            self.stats.misses += 1
-            return None
-        try:
-            blob = chaos_point("cache.read", blob)
-            result = self._decode(key, blob)
-        except Exception:
+            result = read_record(
+                self._path(key), key, self.code_version, "cache.read",
+                _is_result,
+            )
+        except ValueError:
             self.stats.corrupt += 1
+            count(
+                "repro_cache_quarantines_total",
+                "Corrupt cache entries quarantined on read",
+            )
+            result = None
+        if result is None:
             self.stats.misses += 1
-            self._quarantine(path)
             return None
         self.stats.hits += 1
         if self.lru is not None:
@@ -401,76 +539,15 @@ class ArtifactCache:
     ) -> Optional["CompileResult"]:
         return self.get(self.key_for(spec, options))
 
-    def _decode(self, key: str, blob: bytes) -> "CompileResult":
-        if not blob.startswith(_MAGIC):
-            raise ValueError("bad magic")
-        rest = blob[len(_MAGIC):]
-        newline = rest.index(b"\n")
-        header = json.loads(rest[:newline].decode())
-        payload = rest[newline + 1:]
-        if header.get("key") != key:
-            raise ValueError("key mismatch")
-        if header.get("code") != self.code_version:
-            raise ValueError("stale code version")
-        if header.get("sha256") != hashlib.sha256(payload).hexdigest():
-            raise ValueError("checksum mismatch")
-        result = pickle.loads(payload)
-        # Guard against a pickle that deserializes to garbage.
-        if not hasattr(result, "program") or not hasattr(result, "diagnostics"):
-            raise ValueError("payload is not a CompileResult")
-        return result
-
-    def _quarantine(self, path: str) -> None:
-        """Move a corrupt entry aside so it cannot mis-count again."""
-        try:
-            os.replace(path, path + ".corrupt")
-        except OSError:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        _count_quarantine()
-
     # ------------------------------------------------------------ write
 
     def put(self, key: str, result: "CompileResult") -> bool:
         """Persist an entry atomically; returns False if not cached."""
         try:
-            chaos_point("cache.write")
-            payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            self.stats.store_failures += 1
-            return False
-        header = json.dumps(
-            {
-                "format": _FORMAT,
-                "key": key,
-                "code": self.code_version,
-                "sha256": hashlib.sha256(payload).hexdigest(),
-                "kernel": getattr(result.spec, "name", ""),
-                "created": time.time(),
-            },
-            sort_keys=True,
-        ).encode()
-        blob = _MAGIC + header + b"\n" + payload
-        path = self._path(key)
-        try:
-            fd, tmp_path = tempfile.mkstemp(
-                prefix=".tmp-" + key[:12] + "-", dir=self.root
+            write_record(
+                self._path(key), key, self.code_version, result, "cache.write",
+                kernel=getattr(result.spec, "name", ""), created=time.time(),
             )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(blob)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp_path, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_path)
-                except OSError:
-                    pass
-                raise
-            self._fsync_dir()
         except Exception:
             self.stats.store_failures += 1
             return False
@@ -484,16 +561,6 @@ class ArtifactCache:
     ) -> bool:
         return self.put(self.key_for(spec, options), result)
 
-    def _fsync_dir(self) -> None:
-        try:
-            dir_fd = os.open(self.root, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-        except OSError:
-            pass  # durability best-effort on exotic filesystems
-
     # ------------------------------------------------------- management
 
     def entries(self) -> List[CacheEntryInfo]:
@@ -505,11 +572,7 @@ class ArtifactCache:
             path = os.path.join(self.root, name)
             try:
                 with open(path, "rb") as handle:
-                    blob = handle.read(64 * 1024)
-                if not blob.startswith(_MAGIC):
-                    continue
-                rest = blob[len(_MAGIC):]
-                header = json.loads(rest[: rest.index(b"\n")].decode())
+                    header, _ = split_record(handle.read())
                 infos.append(
                     CacheEntryInfo(
                         key=header.get("key", name[: -len(_SUFFIX)]),
@@ -538,7 +601,7 @@ class ArtifactCache:
         report = FsckReport(root=self.root)
         for name in sorted(os.listdir(self.root)):
             path = os.path.join(self.root, name)
-            if name.startswith(".tmp-"):
+            if name.startswith(_TMP):
                 report.issues.append(
                     FsckIssue(name, "tmp", "orphaned temp file")
                 )
@@ -561,7 +624,19 @@ class ArtifactCache:
                     report.repaired += 1
                 except OSError:
                     pass
-        _count_fsck(report)
+        for kind in ("corrupt", "stale", "tmp", "quarantine"):
+            if report.count(kind):
+                count(
+                    "repro_cache_fsck_issues_total",
+                    "Cache integrity issues found by fsck, by kind",
+                    report.count(kind),
+                    kind=kind,
+                )
+        gauge(
+            "repro_cache_fsck_entries",
+            "Entries scanned by the last cache fsck",
+            report.scanned,
+        )
         return report
 
     def _verify_entry(self, name: str, path: str) -> Optional[FsckIssue]:
@@ -569,22 +644,13 @@ class ArtifactCache:
         payload is never unpickled, so fsck is safe on hostile data)."""
         try:
             with open(path, "rb") as handle:
-                blob = handle.read()
+                header, _ = split_record(handle.read())
         except OSError as exc:
             return FsckIssue(name, "corrupt", f"unreadable: {exc}")
-        if not blob.startswith(_MAGIC):
-            return FsckIssue(name, "corrupt", "bad magic")
-        rest = blob[len(_MAGIC):]
-        try:
-            newline = rest.index(b"\n")
-            header = json.loads(rest[:newline].decode())
-        except Exception:
-            return FsckIssue(name, "corrupt", "unparseable header")
-        payload = rest[newline + 1:]
+        except ValueError as exc:
+            return FsckIssue(name, "corrupt", str(exc))
         if header.get("key") != name[: -len(_SUFFIX)]:
             return FsckIssue(name, "corrupt", "key does not match filename")
-        if header.get("sha256") != hashlib.sha256(payload).hexdigest():
-            return FsckIssue(name, "corrupt", "payload checksum mismatch")
         if header.get("code") != self.code_version:
             return FsckIssue(
                 name, "stale", f"code version {header.get('code', '?')}"
@@ -596,19 +662,7 @@ class ArtifactCache:
         the number of files removed."""
         if self.lru is not None:
             self.lru.clear()
-        removed = 0
-        for name in os.listdir(self.root):
-            if (
-                name.endswith(_SUFFIX)
-                or name.endswith(".corrupt")
-                or name.startswith(".tmp-")
-            ):
-                try:
-                    os.unlink(os.path.join(self.root, name))
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
+        return sweep(self.root, _SUFFIX)
 
     def __len__(self) -> int:
         return sum(
@@ -616,55 +670,7 @@ class ArtifactCache:
         )
 
 
-# ----------------------------------------------------------------------
-# Metrics bridges (lazy observability imports: this module is loaded by
-# the compiler stack, which observability itself instruments).
-# ----------------------------------------------------------------------
-
-
-def _count_lru(kind: str) -> None:
-    """Mirror one LRU-tier event (hits / misses / evictions) into the
-    ambient metrics registry, if any."""
-    from ..observability.config import current_session
-
-    session = current_session()
-    if session is not None and session.metrics is not None:
-        session.metrics.counter(
-            f"repro_cache_lru_{kind}_total",
-            f"In-process LRU cache tier {kind}",
-        ).inc()
-
-
-def _count_quarantine() -> None:
-    """Record one quarantine event on the ambient metrics registry.
-    Before this counter existed, quarantines were invisible to metrics
-    -- only the per-instance ``CacheStats.corrupt`` knew."""
-    from ..observability.config import current_session
-
-    session = current_session()
-    if session is not None and session.metrics is not None:
-        session.metrics.counter(
-            "repro_cache_quarantines_total",
-            "Corrupt cache entries quarantined on read",
-        ).inc()
-
-
-def _count_fsck(report: FsckReport) -> None:
-    from ..observability.config import current_session
-
-    session = current_session()
-    if session is None or session.metrics is None:
-        return
-    counter = session.metrics.counter(
-        "repro_cache_fsck_issues_total",
-        "Cache integrity issues found by fsck, by kind",
-        labels=("kind",),
-    )
-    for kind in ("corrupt", "stale", "tmp", "quarantine"):
-        count = report.count(kind)
-        if count:
-            counter.labels(kind=kind).inc(count)
-    session.metrics.gauge(
-        "repro_cache_fsck_entries",
-        "Entries scanned by the last cache fsck",
-    ).set(report.scanned)
+def _is_result(value: Any) -> bool:
+    """Guard against a pickle that deserializes to something other than
+    a :class:`~repro.compiler.CompileResult`."""
+    return hasattr(value, "program") and hasattr(value, "diagnostics")

@@ -2,19 +2,22 @@
 
 *Sketch-Guided Equality Saturation* (PAPERS.md) argues that monolithic
 saturation runs are fragile and should be resumable; this module makes
-our runner's end-of-iteration checkpoint **survive the process that
-took it**.  The in-memory snapshot (``Runner.checkpoint``) protects
-against a crashing *rule*; a :class:`FileCheckpointer` additionally
-protects against a dying *worker*: the supervisor's retry after a
-``WorkerCrashError`` / ``WorkerTimeoutError`` resumes saturation from
-the last persisted iteration instead of iteration 0, and the resumed
-run's extraction is byte-identical to an uninterrupted run (asserted
-by ``tests/test_checkpoint_resume.py``).
+our runner's end-of-iteration state **survive the process that took
+it**.  A crashing *rule* needs no snapshot: the runner records the
+failure and rebuilds its graph into a consistent state.  A
+:class:`FileCheckpointer` protects against a dying *worker*: the
+supervisor's retry after a ``WorkerCrashError`` /
+``WorkerTimeoutError`` resumes saturation from the last persisted
+iteration instead of iteration 0, and the resumed run's extraction is
+byte-identical to an uninterrupted run (asserted by
+``tests/test_checkpoint_resume.py``).
 
-Layout mirrors the artifact cache's durability contract: content-keyed
-file names, atomic temp-file + ``os.replace`` publication, an embedded
-SHA-256 checksum, and a read path where *every* failure mode degrades
-to "no checkpoint" (counted), never a crash or a wrong resume.
+A checkpoint file is the artifact cache's record format
+(:func:`repro.service.cache.write_record`): a content-keyed file name,
+atomic temp-file + rename publication with a directory fsync, an
+embedded SHA-256 checksum and code version, and a read path where
+*every* failure mode degrades to "no checkpoint" (counted), never a
+crash or a wrong resume.
 
 The content key (:func:`saturation_key`) covers the spec, the code
 version, and every option that changes what saturation *computes* --
@@ -27,15 +30,18 @@ still find the checkpoint its bigger predecessor wrote.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import pickle
-import tempfile
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from ..chaos.inject import chaos_point
-from .cache import code_fingerprint, spec_fingerprint
+from .cache import (
+    _options_digest,
+    code_fingerprint,
+    read_record,
+    spec_fingerprint,
+    sweep,
+    write_record,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..compiler import CompileOptions
@@ -55,13 +61,13 @@ __all__ = [
 ]
 
 CHECKPOINT_SCHEMA = "repro-satckpt-v1"
-_MAGIC = b"RPROCKPT1\n"
 _SUFFIX = ".satckpt"
 
 #: ``CompileOptions`` fields excluded from the checkpoint key: the
 #: retry policy shrinks the budgets and shifts the seed between
-#: attempts, and the remainder configure observability / recovery
-#: plumbing, not the saturation trajectory.
+#: attempts, ``iter_limit`` does not change what iteration N produces
+#: (see :func:`saturation_key`), and the remainder configure
+#: observability / recovery plumbing, not the saturation trajectory.
 _KEY_EXCLUDED = (
     "node_limit",
     "time_limit",
@@ -71,6 +77,7 @@ _KEY_EXCLUDED = (
     "deadline",
     "validate",
     "track_memory",
+    "iter_limit",
 )
 
 
@@ -126,34 +133,10 @@ class FileCheckpointer:
 
     def save(self, state: SaturationState) -> bool:
         try:
-            chaos_point("checkpoint.write")
-            payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-            header = json.dumps(
-                {
-                    "schema": CHECKPOINT_SCHEMA,
-                    "key": self.key,
-                    "next_iteration": state.next_iteration,
-                    "sha256": hashlib.sha256(payload).hexdigest(),
-                },
-                sort_keys=True,
-            ).encode()
-            blob = _MAGIC + header + b"\n" + payload
-            directory = os.path.dirname(self.path) or "."
-            fd, tmp_path = tempfile.mkstemp(
-                prefix=".tmp-" + os.path.basename(self.path), dir=directory
+            write_record(
+                self.path, self.key, code_fingerprint(), state,
+                "checkpoint.write", next_iteration=state.next_iteration,
             )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(blob)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp_path, self.path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_path)
-                except OSError:
-                    pass
-                raise
         except Exception:
             self.stats.save_failures += 1
             return False
@@ -164,47 +147,18 @@ class FileCheckpointer:
 
     def load(self) -> Optional[SaturationState]:
         try:
-            with open(self.path, "rb") as handle:
-                blob = handle.read()
-        except OSError:
-            self.stats.misses += 1
-            return None
-        try:
-            blob = chaos_point("checkpoint.read", blob)
-            state = self._decode(blob)
-        except Exception:
+            state = read_record(
+                self.path, self.key, code_fingerprint(), "checkpoint.read",
+                lambda value: isinstance(value, SaturationState),
+            )
+        except ValueError:
             self.stats.corrupt += 1
-            self._quarantine()
+            return None
+        if state is None:
+            self.stats.misses += 1
             return None
         self.stats.loads += 1
         return state
-
-    def _decode(self, blob: bytes) -> SaturationState:
-        if not blob.startswith(_MAGIC):
-            raise ValueError("bad magic")
-        rest = blob[len(_MAGIC):]
-        newline = rest.index(b"\n")
-        header = json.loads(rest[:newline].decode())
-        payload = rest[newline + 1:]
-        if header.get("schema") != CHECKPOINT_SCHEMA:
-            raise ValueError("schema mismatch")
-        if header.get("key") != self.key:
-            raise ValueError("key mismatch")
-        if header.get("sha256") != hashlib.sha256(payload).hexdigest():
-            raise ValueError("checksum mismatch")
-        state = pickle.loads(payload)
-        if not isinstance(state, SaturationState):
-            raise ValueError("payload is not a SaturationState")
-        return state
-
-    def _quarantine(self) -> None:
-        try:
-            os.replace(self.path, self.path + ".corrupt")
-        except OSError:
-            try:
-                os.unlink(self.path)
-            except OSError:
-                pass
 
     # ------------------------------------------------------- management
 
@@ -252,19 +206,7 @@ class CheckpointStore:
         )
 
     def clear(self) -> int:
-        removed = 0
-        for name in os.listdir(self.root):
-            if (
-                name.endswith(_SUFFIX)
-                or name.endswith(".corrupt")
-                or name.startswith(".tmp-")
-            ):
-                try:
-                    os.unlink(os.path.join(self.root, name))
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
+        return sweep(self.root, _SUFFIX)
 
 
 def saturation_key(spec: "Spec", options: "CompileOptions") -> str:
@@ -277,20 +219,12 @@ def saturation_key(spec: "Spec", options: "CompileOptions") -> str:
     budget -- a shrunk retry with ``iter_limit < K`` simply extracts
     from the restored graph immediately.
     """
-    payload: Dict[str, Any] = {}
-    for key, value in sorted(vars(options).items()):
-        if key in _KEY_EXCLUDED or key == "iter_limit":
-            continue
-        if key == "extra_rules":
-            value = [getattr(r, "name", repr(r)) for r in value]
-        payload[key] = value
-    text = json.dumps(payload, sort_keys=True, default=repr)
     joined = "|".join(
         (
             CHECKPOINT_SCHEMA,
             code_fingerprint(),
             spec_fingerprint(spec),
-            hashlib.sha256(text.encode()).hexdigest(),
+            _options_digest(options, _KEY_EXCLUDED),
         )
     )
     return hashlib.sha256(joined.encode()).hexdigest()

@@ -75,7 +75,8 @@ from ..errors import (
     ShutdownError,
 )
 from ..frontend.lift import Spec
-from ..observability import activate, current_session, event as _obs_event
+from ..observability import activate, count, current_session, gauge
+from ..observability import event as _obs_event
 from .cache import options_fingerprint, spec_fingerprint
 from .supervisor import CompileService
 
@@ -93,24 +94,6 @@ BROWNOUT_SCALES = (1.0, 0.5, 0.25)
 
 #: EWMA smoothing of the brownout queue-delay signal.
 _EWMA_ALPHA = 0.2
-
-
-def _count(name: str, help_text: str, **labels: str) -> None:
-    """Bump a gateway counter on the ambient metrics registry, if any."""
-    session = current_session()
-    if session is None or session.metrics is None:
-        return
-    counter = session.metrics.counter(
-        name, help_text, labels=tuple(sorted(labels)) if labels else ()
-    )
-    (counter.labels(**labels) if labels else counter).inc()
-
-
-def _gauge(name: str, help_text: str, value: float) -> None:
-    session = current_session()
-    if session is None or session.metrics is None:
-        return
-    session.metrics.gauge(name, help_text).set(value)
 
 
 @dataclass(frozen=True)
@@ -403,7 +386,7 @@ class CompileGateway:
             self.stats.shed("rate-limit")
             tstats.shed += 1
             tstats.rate_limited += 1
-            _count(
+            count(
                 "repro_gateway_sheds_total",
                 "Requests refused by the gateway",
                 reason="rate-limit",
@@ -441,7 +424,7 @@ class CompileGateway:
                 return hit
             self.stats.shed("cache-only")
             tstats.shed += 1
-            _count(
+            count(
                 "repro_gateway_sheds_total",
                 "Requests refused by the gateway",
                 reason="cache-only",
@@ -462,7 +445,7 @@ class CompileGateway:
             self.stats.admitted += 1
             tstats.admitted += 1
             tstats.coalesced += 1
-            _count(
+            count(
                 "repro_gateway_dedup_coalesced_total",
                 "Requests collapsed onto an in-flight identical compile",
             )
@@ -473,7 +456,7 @@ class CompileGateway:
         if depth >= self.config.max_queue_depth:
             self.stats.shed("queue-full")
             tstats.shed += 1
-            _count(
+            count(
                 "repro_gateway_sheds_total",
                 "Requests refused by the gateway",
                 reason="queue-full",
@@ -505,7 +488,7 @@ class CompileGateway:
             self.stats.queue_depth_max, self._queue.qsize()
         )
         tstats.admitted += 1
-        _count(
+        count(
             "repro_gateway_admitted_total",
             "Requests admitted into the gateway queue",
         )
@@ -573,7 +556,7 @@ class CompileGateway:
             self.stats.failed += 1
             self.stats.shed("deadline")
             tstats.failed += 1
-            _count(
+            count(
                 "repro_gateway_deadline_waits_total",
                 "Waiters whose deadline expired before the shared result",
             )
@@ -648,7 +631,7 @@ class CompileGateway:
             tstats = self.stats.tenants.get(request.tenant)
             if tstats is not None:
                 tstats.shed += 1
-            _count(
+            count(
                 "repro_gateway_sheds_total",
                 "Requests refused by the gateway",
                 reason="queue-delay",
@@ -736,11 +719,11 @@ class CompileGateway:
         )
         if level != self.stats.brownout_level:
             self.stats.brownout_transitions += 1
-            _count(
+            count(
                 "repro_gateway_brownout_transitions_total",
                 "Brownout ladder level changes",
             )
-            _gauge(
+            gauge(
                 "repro_gateway_brownout_level",
                 "Current brownout ladder level (0 = healthy)",
                 float(level),

@@ -50,7 +50,8 @@ from ..errors import (
     stage_error,
 )
 from ..frontend.lift import Spec
-from ..observability import current_session, event as _obs_event, span as _obs_span
+from ..observability import count as _obs_count, current_session
+from ..observability import event as _obs_event, span as _obs_span
 from ..seeding import stable_rng
 from .cache import ArtifactCache
 from .worker import CompileTask, FaultInjection, WorkerLimits, worker_main
@@ -123,17 +124,6 @@ class BoundedLog:
         self._entries.clear()
         self.dropped = 0
         self.total = 0
-
-
-def _obs_count(name: str, help_text: str, **labels: str) -> None:
-    """Bump a service counter on the ambient metrics registry, if any."""
-    session = current_session()
-    if session is None or session.metrics is None:
-        return
-    counter = session.metrics.counter(
-        name, help_text, labels=tuple(sorted(labels)) if labels else ()
-    )
-    (counter.labels(**labels) if labels else counter).inc()
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,18 @@ def test_fsck_detects_bad_magic_and_key_mismatch(populated):
     assert any("bad magic" in issue.detail for issue in report.issues)
 
 
+def test_fsck_flags_a_header_that_is_not_an_object(populated):
+    """A header line that parses as JSON but not as an object is a
+    corrupt entry, not an exception out of fsck."""
+    cache, path = populated
+    with open(path, "wb") as handle:
+        handle.write(b"RPROCACHE1\n[1, 2]\npayload")
+    report = cache.fsck()
+    assert report.corrupt == 1
+    assert "unparseable header" in report.issues[0].detail
+    assert cache.entries() == []
+
+
 def test_fsck_detects_stale_code_version(populated):
     cache, _ = populated
     stale_view = ArtifactCache(cache.root)

@@ -8,6 +8,7 @@ subterm miscompiles -- a reliable, hermetic stand-in for a real
 compiler bug.
 """
 
+import dataclasses
 import json
 import os
 
@@ -15,7 +16,11 @@ import pytest
 
 from repro.compiler import CompileOptions
 from repro.conformance.corpus import spec_key
-from repro.conformance.replay import replay_repro
+from repro.conformance.replay import (
+    options_from_json,
+    options_to_json,
+    replay_repro,
+)
 from repro.conformance.shrink import (
     divergence_predicate,
     repro_payload,
@@ -132,3 +137,36 @@ def test_shrink_rejects_non_divergent_input():
     assert spec_size(benign) > 0
     with pytest.raises(ValueError):
         shrink(benign, predicate)
+
+
+def test_repro_options_round_trip_every_serialized_field():
+    """A repro replays under the options it diverged under: every
+    CompileOptions field except the non-JSON ``extra_rules`` and
+    ``observability`` and the plumbing ``checkpoint_dir`` and
+    ``deadline``, each set away from its default, survives the JSON
+    round trip."""
+    changed = {
+        "vector_width": 8,
+        "iter_limit": 7,
+        "node_limit": 1234,
+        "time_limit": None,
+        "match_limit": 50,
+        "enable_vector_rules": False,
+        "validate": False,
+        "track_memory": True,
+        "select_best_candidate": True,
+        "fault_tolerance": False,
+        "checkpoint_stride": 2,
+        "seed": 99,
+        "phases": "off",
+    }
+    skipped = {"extra_rules", "observability", "checkpoint_dir", "deadline"}
+    names = {f.name for f in dataclasses.fields(CompileOptions)}
+    assert set(changed) == names - skipped
+    defaults = CompileOptions()
+    for name, value in changed.items():
+        assert value != getattr(defaults, name), name
+    payload = json.loads(json.dumps(options_to_json(CompileOptions(**changed))))
+    restored = options_from_json(payload)
+    for name, value in changed.items():
+        assert getattr(restored, name) == value, name

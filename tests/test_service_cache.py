@@ -5,14 +5,19 @@ flips, stale code versions, races, interrupted writes -- degrades to a
 counted cache *miss*, never a crash and never a wrong result.
 """
 
+import hashlib
+import json
 import os
 import pickle
 import threading
+import time
+from unittest import mock
 
 import pytest
 
 from repro.compiler import CompileOptions, compile_spec
 from repro.kernels import make_matmul
+from repro.service import checkpoint
 from repro.service.cache import (
     ArtifactCache,
     cache_key,
@@ -78,6 +83,21 @@ class TestKeys:
         assert code_fingerprint() == code_fingerprint()
         assert len(code_fingerprint()) == 16
 
+    def test_entry_from_other_code_version_is_a_miss(self, tmp_path, compiled):
+        spec, result = compiled
+        old = ArtifactCache(str(tmp_path / "c"), code_version="old-code")
+        old.store(spec, FAST, result)
+        new = ArtifactCache(str(tmp_path / "c"), code_version="new-code")
+        # Different code version => different key => plain miss.
+        assert new.lookup(spec, FAST) is None
+        # Even a forged same-key entry is rejected by the header check.
+        forged_key = new.key_for(spec, FAST)
+        os.replace(
+            old._path(old.key_for(spec, FAST)), new._path(forged_key)
+        )
+        assert new.get(forged_key) is None
+        assert new.stats.corrupt == 1
+
 
 # ----------------------------------------------------------------------
 # Round trip + hit/miss accounting
@@ -125,92 +145,151 @@ class TestRoundTrip:
 # ----------------------------------------------------------------------
 
 
+class _CacheEntry:
+    """One artifact-cache entry, as the corruption cases see a store:
+    ``write`` stores the record (optionally as older code would have),
+    ``read`` loads it, ``corrupt`` counts corrupt reads."""
+
+    def __init__(self, root, compiled):
+        spec, self.value = compiled
+        self.cache = ArtifactCache(root)
+        self.key = self.cache.key_for(spec, FAST)
+        self.path = _entry_path(self.cache, self.key)
+        self.code = self.cache.code_version
+
+    def write(self, code=None):
+        cache = self.cache if code is None else ArtifactCache(
+            self.cache.root, code
+        )
+        assert cache.put(self.key, self.value)
+
+    def read(self):
+        return self.cache.get(self.key)
+
+    @property
+    def corrupt(self):
+        return self.cache.stats.corrupt
+
+
+class _CheckpointEntry:
+    """One saturation checkpoint, seen the same way: it is a record in
+    the cache's format, read by the same reader."""
+
+    def __init__(self, root):
+        self.key = "c" * 64
+        self.path = os.path.join(root, self.key + ".satckpt")
+        self.checkpointer = checkpoint.FileCheckpointer(self.path, self.key)
+        self.value = checkpoint.SaturationState(
+            next_iteration=2,
+            egraph={"nodes": list(range(10))},
+            applied_keys={("rule", 1)},
+            rule_stats={},
+        )
+        self.code = code_fingerprint()
+
+    def write(self, code=None):
+        with mock.patch.object(
+            checkpoint, "code_fingerprint", lambda: code or self.code
+        ):
+            assert self.checkpointer.save(self.value)
+
+    def read(self):
+        return self.checkpointer.load()
+
+    @property
+    def corrupt(self):
+        return self.checkpointer.stats.corrupt
+
+
+def _assert_corrupt_read(store):
+    """The read misses, counts one corrupt read, and moves the file
+    aside so it cannot mis-count again."""
+    assert store.read() is None
+    assert store.corrupt == 1
+    assert not os.path.exists(store.path)
+    assert os.path.exists(store.path + ".corrupt")
+
+
+def _rewrite(store, edit):
+    with open(store.path, "rb") as handle:
+        blob = bytearray(handle.read())
+    with open(store.path, "wb") as handle:
+        handle.write(bytes(edit(blob)))
+
+
 class TestCorruption:
-    def _stored(self, cache, compiled):
-        spec, result = compiled
-        key = cache.key_for(spec, FAST)
-        cache.put(key, result)
-        return key, _entry_path(cache, key)
+    """Every corruption mode of an artifact-cache entry;
+    :class:`TestCheckpointCorruption` runs the same cases against a
+    saturation checkpoint."""
 
-    def test_truncated_file_is_a_miss(self, cache, compiled):
-        key, path = self._stored(cache, compiled)
-        blob = open(path, "rb").read()
-        with open(path, "wb") as handle:
-            handle.write(blob[: len(blob) // 2])
-        assert cache.get(key) is None
-        assert cache.stats.corrupt == 1
-        assert not os.path.exists(path)  # quarantined
+    @pytest.fixture
+    def store(self, tmp_path, compiled):
+        return _CacheEntry(str(tmp_path / "cache"), compiled)
 
-    def test_empty_file_is_a_miss(self, cache, compiled):
-        key, path = self._stored(cache, compiled)
-        open(path, "wb").close()
-        assert cache.get(key) is None
-        assert cache.stats.corrupt == 1
+    def test_truncated_file_is_a_miss(self, store):
+        store.write()
+        _rewrite(store, lambda blob: blob[: len(blob) // 2])
+        _assert_corrupt_read(store)
 
-    def test_bit_flip_in_payload_is_a_miss(self, cache, compiled):
-        key, path = self._stored(cache, compiled)
-        blob = bytearray(open(path, "rb").read())
-        blob[-10] ^= 0x40
-        with open(path, "wb") as handle:
-            handle.write(bytes(blob))
-        assert cache.get(key) is None
-        assert cache.stats.corrupt == 1
+    def test_empty_file_is_a_miss(self, store):
+        store.write()
+        open(store.path, "wb").close()
+        _assert_corrupt_read(store)
 
-    def test_bit_flip_in_header_is_a_miss(self, cache, compiled):
-        key, path = self._stored(cache, compiled)
-        blob = bytearray(open(path, "rb").read())
-        blob[len(b"RPROCACHE1\n") + 3] ^= 0x01
-        with open(path, "wb") as handle:
-            handle.write(bytes(blob))
-        assert cache.get(key) is None
+    def test_bit_flip_in_payload_is_a_miss(self, store):
+        def flip(blob):
+            blob[-10] ^= 0x40
+            return blob
 
-    def test_garbage_file_is_a_miss(self, cache, compiled):
-        spec, _ = compiled
-        key = cache.key_for(spec, FAST)
-        with open(_entry_path(cache, key), "wb") as handle:
+        store.write()
+        _rewrite(store, flip)
+        _assert_corrupt_read(store)
+
+    def test_bit_flip_in_header_is_a_miss(self, store):
+        def flip(blob):
+            blob[len(b"RPROCACHE1\n") + 3] ^= 0x01
+            return blob
+
+        store.write()
+        _rewrite(store, flip)
+        _assert_corrupt_read(store)
+
+    def test_garbage_file_is_a_miss(self, store):
+        with open(store.path, "wb") as handle:
             handle.write(b"not a cache entry at all")
-        assert cache.get(key) is None
-        assert cache.stats.corrupt == 1
+        _assert_corrupt_read(store)
 
-    def test_wrong_pickle_payload_is_a_miss(self, cache, compiled):
+    def test_wrong_pickle_payload_is_a_miss(self, store):
         """A checksum-valid entry whose payload is not a CompileResult
-        (e.g. written by a confused tool) must still miss."""
-        spec, result = compiled
-        key = cache.key_for(spec, FAST)
-        cache.put(key, result)
+        (or, for a checkpoint, a SaturationState), e.g. written by a
+        confused tool, must still miss."""
+        store.write()
         # Rewrite with a payload that unpickles to a plain dict.
-        import hashlib, json, time as _time
-
         payload = pickle.dumps({"not": "a result"})
         header = json.dumps(
             {
                 "format": "repro-cache-v1",
-                "key": key,
-                "code": cache.code_version,
+                "key": store.key,
+                "code": store.code,
                 "sha256": hashlib.sha256(payload).hexdigest(),
                 "kernel": "x",
-                "created": _time.time(),
+                "created": time.time(),
             }
         ).encode()
-        with open(_entry_path(cache, key), "wb") as handle:
+        with open(store.path, "wb") as handle:
             handle.write(b"RPROCACHE1\n" + header + b"\n" + payload)
-        assert cache.get(key) is None
-        assert cache.stats.corrupt == 1
+        _assert_corrupt_read(store)
 
-    def test_stale_code_version_is_a_miss(self, tmp_path, compiled):
-        spec, result = compiled
-        old = ArtifactCache(str(tmp_path / "c"), code_version="old-code")
-        old.store(spec, FAST, result)
-        new = ArtifactCache(str(tmp_path / "c"), code_version="new-code")
-        # Different code version => different key => plain miss.
-        assert new.lookup(spec, FAST) is None
-        # Even a forged same-key entry is rejected by the header check.
-        forged_key = new.key_for(spec, FAST)
-        os.replace(
-            old._path(old.key_for(spec, FAST)), new._path(forged_key)
-        )
-        assert new.get(forged_key) is None
-        assert new.stats.corrupt == 1
+    def test_stale_code_version_is_a_miss(self, store):
+        # A same-key record written by other code fails the header check.
+        store.write(code="old-code")
+        _assert_corrupt_read(store)
+
+
+class TestCheckpointCorruption(TestCorruption):
+    @pytest.fixture
+    def store(self, tmp_path):
+        return _CheckpointEntry(str(tmp_path))
 
 
 # ----------------------------------------------------------------------
