@@ -1,19 +1,30 @@
 #!/usr/bin/env python3
-"""Wall-time gate on traced perfbench reports.
+"""Counter and wall-time gate on traced perfbench reports.
 
     python3 benchmarks/perf_gate.py \\
         .perfbench/report-table1-small-seed1-trace.json \\
         .perfbench/report-large-phased-seed1-trace.json
 
 Each report must come from a traced run (``perfbench/run.py --trace 1``)
-of a workload that ``benchmarks/perf_baseline.json`` covers.  A layer
-fails when it took more than 50 ms and more than twice its committed
-baseline, a baseline under 50 ms counting as 50 ms: shorter times are
-timing noise.  A baselined layer the report lacks fails too.  Exits 1
-on any failure.
+of a workload that ``benchmarks/perf_baseline.json`` covers.  The
+baseline holds, per workload, ``counters`` and ``layers_s``:
+
+* A deterministic counter (matches, unions, classes visited, peak
+  nodes, emitted instructions, phase rounds ...) fails when it differs
+  from its committed value.  These counts do not depend on the host,
+  so any difference is a change in what the compiler did.  A report
+  holds per-pass averages, so float rounding is tolerated.
+* A layer time fails when it took more than 50 ms and more than twice
+  its committed baseline, a baseline under 50 ms counting as 50 ms:
+  shorter times are timing noise.  Layer times are raw wall times, so
+  this rule is only a loose backstop against a slow host.
+
+A baselined counter or layer the report lacks fails too.  Exits 1 on
+any failure.
 """
 
 import json
+import math
 import os
 import sys
 
@@ -26,7 +37,8 @@ MAX_SLOWDOWN = 2.0
 
 def check(report, baseline):
     """One message per failure of ``report`` against ``baseline``
-    (``{workload: {layer: seconds}}``); empty when the report passes."""
+    (``{workload: {"counters": {name: count}, "layers_s": {layer:
+    seconds}}}``); empty when the report passes."""
     workload = report.get("workload")
     if not report.get("trace"):
         return [f"{workload}: untraced report; gate a --trace 1 run"]
@@ -34,7 +46,13 @@ def check(report, baseline):
         return [f"{workload}: no baseline for this workload"]
     layers = report.get("per_layer", {})
     failures = []
-    for layer, base_s in sorted(baseline[workload].items()):
+    for name, expected in sorted(baseline[workload]["counters"].items()):
+        if name not in layers:
+            failures.append(f"{workload}/{name}: missing from the report")
+        elif not math.isclose(layers[name], expected, rel_tol=1e-9, abs_tol=1e-9):
+            failures.append(f"{workload}/{name}: {layers[name]:g} differs from "
+                            f"the committed {expected} (counters must match exactly)")
+    for layer, base_s in sorted(baseline[workload]["layers_s"].items()):
         if layer not in layers:
             failures.append(f"{workload}/{layer}: missing from the report")
             continue

@@ -657,9 +657,9 @@ def _saturate_phased(
     A failed phase (a crashed rule) degrades to the **last successful
     phase's extracted term**: the compile keeps every rewrite the
     completed phases earned instead of dropping straight to the
-    scalar/spec-term rungs.  The fallback term is re-seeded into a
-    fresh graph so the downstream extraction rungs operate exactly as
-    they would on a monolithic result.
+    scalar/spec-term rungs.  The fallback program's node list is
+    re-seeded into a fresh graph so the downstream extraction rungs
+    operate exactly as they would on a monolithic result.
     """
     try:
         execution = execute_plan(spec, options, plan)
@@ -682,14 +682,14 @@ def _saturate_phased(
             kernel=spec.name,
             partial={"plan_report": execution.plan_report},
         )
-    if execution.fallback_term is not None:
+    if execution.fallback_nodes is not None:
         diag.degrade(
             "saturation",
             execution.failure,
             "falling back to the last successful phase's extracted term",
         )
         egraph = EGraph()
-        root = egraph.add_term(execution.fallback_term)
+        root = egraph.add_term(execution.fallback_nodes)
         execution.report.nodes = egraph.num_nodes
         execution.report.classes = egraph.num_classes
         return egraph, root, execution.report, execution.plan_report
@@ -871,7 +871,7 @@ def _pick_candidate(
     from .machine.config import static_cycles
 
     alternative = Extractor(egraph, ScalarOnlyCostModel()).extract(root)
-    if alternative.term == vector_extraction.term:
+    if alternative.nodes == vector_extraction.nodes:
         return vector_extraction
 
     def cycles_of(term: Term) -> float:

@@ -25,8 +25,9 @@ extraction requires.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from .dsl.ops import OPS
 from .egraph.egraph import ENode
 from .egraph.extract import CostFunction, Extractor
 
@@ -104,7 +105,11 @@ def lane_kind(
 
 class DiospyrosCostModel(CostFunction):
     """The paper's abstract cost model, parameterized by
-    :class:`CostConfig`."""
+    :class:`CostConfig` (read once, at construction).
+
+    Every op but ``Vec`` costs a constant per node plus its children
+    (:meth:`op_costs`); a ``Vec`` is priced by where its lanes come
+    from."""
 
     _VECTOR_OPS = {
         "VecAdd",
@@ -120,28 +125,29 @@ class DiospyrosCostModel(CostFunction):
 
     def __init__(self, config: Optional[CostConfig] = None) -> None:
         self.config = config or CostConfig()
+        cfg = self.config
+        self._constants: Dict[str, float] = {
+            "Num": cfg.literal,
+            "Symbol": cfg.literal,
+            "Get": cfg.scalar_get,
+            "List": cfg.structure,
+            "Concat": cfg.structure,
+        }
+        self._constants.update(dict.fromkeys(sorted(self._SCALAR_OPS), cfg.scalar_op))
+        self._constants.update(dict.fromkeys(sorted(self._VECTOR_OPS), cfg.vector_op))
+
+    def op_costs(self) -> Dict[str, Tuple[float, float]]:
+        return {op: (constant, 0.0) for op, constant in self._constants.items()}
 
     def node_cost(
         self, extractor: Extractor, node: ENode, child_costs: List[float]
     ) -> float:
-        cfg = self.config
-        children_total = sum(child_costs)
-        op = node.op
-        if op in ("Num", "Symbol"):
-            return cfg.literal
-        if op == "Get":
-            return cfg.scalar_get + children_total
-        if op in self._SCALAR_OPS:
-            return cfg.scalar_op + children_total
-        if op in self._VECTOR_OPS:
-            return cfg.vector_op + children_total
-        if op in ("List", "Concat"):
-            return cfg.structure + children_total
-        if op == "Vec":
-            return self._vec_cost(extractor, node) + children_total
+        if node.op == "Vec":
+            return self._vec_cost(extractor, node) + sum(child_costs)
         # Unknown operators (user extensions) default to scalar cost so
         # they are never accidentally free.
-        return cfg.scalar_op + children_total
+        constant = self._constants.get(node.op, self.config.scalar_op)
+        return constant + sum(child_costs)
 
     def _vec_cost(self, extractor: Extractor, node: ENode) -> float:
         """Data-movement cost of materializing a Vec's lanes into one
@@ -204,12 +210,16 @@ class ScalarOnlyCostModel(CostFunction):
     }
     _PROHIBITIVE = 1e12
 
+    def _constant(self, op: str) -> float:
+        return self._PROHIBITIVE if op in self._FORBIDDEN else 1.0
+
+    def op_costs(self) -> Dict[str, Tuple[float, float]]:
+        return {op: (self._constant(op), 0.0) for op in OPS}
+
     def node_cost(
         self, extractor: Extractor, node: ENode, child_costs: List[float]
     ) -> float:
-        if node.op in self._FORBIDDEN:
-            return self._PROHIBITIVE + sum(child_costs)
-        return 1.0 + sum(child_costs)
+        return self._constant(node.op) + sum(child_costs)
 
 
 class TermSizeCostModel(CostFunction):
@@ -218,6 +228,9 @@ class TermSizeCostModel(CostFunction):
     Used by tests and by the scalar-only ablation, where there is no
     vector/data-movement distinction to model.
     """
+
+    def op_costs(self) -> Dict[str, Tuple[float, float]]:
+        return dict.fromkeys(OPS, (1.0, 0.0))
 
     def node_cost(
         self, extractor: Extractor, node: ENode, child_costs: List[float]

@@ -29,6 +29,7 @@ from typing import (
     List,
     NamedTuple,
     Optional,
+    Sequence,
     Set,
     Tuple,
     Union,
@@ -37,7 +38,7 @@ from typing import (
 from ..dsl.ast import Term
 from .unionfind import UnionFind
 
-__all__ = ["ENode", "EClass", "EGraph"]
+__all__ = ["ENode", "EClass", "EGraph", "flatten_term", "build_term"]
 
 
 Payload = Union[int, float, str, None]
@@ -66,6 +67,72 @@ class ENode(NamedTuple):
         if new_children == children:
             return self
         return ENode(self.op, new_children, self.value)
+
+
+def flatten_term(term: Term) -> List[ENode]:
+    """The term as a node list (egg's ``RecExpr``): each distinct
+    subterm once, in post-order with arguments left to right, children
+    as list indices and the root last.  This is the order in which
+    :meth:`EGraph.add_term` creates classes.
+
+    Two terms are equal exactly when their ops, values and argument
+    positions are, so subterms are deduplicated by that key, hashed in
+    C, without comparing trees; inner subterm objects are memoized by
+    identity too.  A stack frame keeps a cursor into its arguments and
+    the positions found so far; leaf arguments take no frame."""
+    index: Dict[Tuple, int] = {}
+    seen: Dict[int, int] = {}
+    nodes: List[ENode] = []
+    make = ENode._make
+    stack = [term]
+    cursors = [0]
+    positions: List[List[int]] = [[]]
+    while True:
+        t = stack[-1]
+        args = t.args
+        found = positions[-1]
+        i = cursors[-1]
+        while i < len(args):
+            a = args[i]
+            if a.args:
+                p = seen.get(id(a))
+                if p is None:
+                    break
+            else:
+                key = (a.op, (), a.value)
+                p = index.get(key)
+                if p is None:
+                    p = index[key] = len(nodes)
+                    nodes.append(make(key))
+            found.append(p)
+            i += 1
+        if i < len(args):
+            cursors[-1] = i + 1
+            stack.append(args[i])
+            cursors.append(0)
+            positions.append([])
+            continue
+        stack.pop()
+        cursors.pop()
+        positions.pop()
+        key = (t.op, tuple(found), t.value)
+        p = index.get(key)
+        if p is None:
+            p = index[key] = len(nodes)
+            nodes.append(make(key))
+        if not stack:
+            return nodes
+        seen[id(t)] = p
+        positions[-1].append(p)
+
+
+def build_term(nodes: Sequence[ENode]) -> Term:
+    """The :class:`Term` of a post-order node list, built in one loop;
+    a node that several parents share becomes one shared subterm."""
+    terms: List[Term] = []
+    for node in nodes:
+        terms.append(Term(node.op, [terms[i] for i in node.children], node.value))
+    return terms[-1]
 
 
 @dataclass
@@ -401,23 +468,54 @@ class EGraph:
         eclass.modified_at = self.tick
         return new_id
 
-    def add_term(self, term: Term) -> int:
-        """Insert a whole term bottom-up; returns the root's class id."""
-        return self._add_term(term, {})
+    def add_term(self, term: Union[Term, Sequence[ENode]]) -> int:
+        """Insert a whole program bottom-up; returns the root's class id.
 
-    def _add_term(self, t: Term, cache: Dict[Term, int]) -> int:
-        # Post-order, arguments left to right, memoized by structural
-        # equality: class ids follow this order.  The memo is passed
-        # explicitly; a recursive closure would hold ``self`` in a
-        # reference cycle and leave every dropped graph to the cyclic
-        # collector (DESIGN.md §8).
-        hit = cache.get(t)
-        if hit is not None:
-            return hit
-        children = tuple(self._add_term(a, cache) for a in t.args)
-        cid = self.add(ENode(t.op, children, t.value))
-        cache[t] = cid
-        return cid
+        ``term`` is a :class:`Term` or a node list in post-order whose
+        children are list indices (:func:`flatten_term`, or what
+        :meth:`repro.egraph.extract.Extractor.extract` returns).  Nodes
+        are inserted in list order, so class ids follow it.  An empty
+        graph is seeded in one pass when no node repeats; otherwise
+        each node goes through :meth:`add` and the hashcons."""
+        nodes = flatten_term(term) if isinstance(term, Term) else term
+        if len(self._uf) == 0 and self._seed(nodes):
+            return len(nodes) - 1
+        ids: List[int] = []
+        for node in nodes:
+            if node.children:
+                node = ENode(node.op, tuple([ids[i] for i in node.children]), node.value)
+            ids.append(self.add(node))
+        return ids[-1]
+
+    def _seed(self, nodes: Sequence[ENode]) -> bool:
+        """Seed an empty graph from a post-order node list, writing
+        exactly the state that :meth:`add` would, node by node: node
+        ``i`` gets class ``i``, stamped at tick ``i + 1``, with the same
+        memo and parent entries, and each op-index set is filled in
+        ascending id order (set order decides match order).  Writes
+        nothing and returns ``False`` when a node repeats."""
+        count = len(nodes)
+        memo = dict(zip(nodes, range(count)))
+        if len(memo) != count:
+            return False
+        self._uf.make_sets(count)
+        classes = self._classes
+        op_index = self._op_index
+        tick = self.tick
+        for i, node in enumerate(nodes):
+            classes[i] = EClass(i, [node], [], tick + i + 1)
+            ids = op_index.get(node.op)
+            if ids is None:
+                ids = op_index[node.op] = set()
+            ids.add(i)
+            if node.children:
+                for child in set(node.children):
+                    classes[child].parents.append((node, i))
+        self._memo = memo
+        self.version += count
+        self._n_nodes += count
+        self.tick = tick + count
+        return True
 
     def lookup(self, node: ENode) -> Optional[int]:
         """Class id of a canonical e-node, or ``None`` if absent.

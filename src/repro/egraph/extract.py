@@ -14,16 +14,18 @@ child class (via :meth:`Extractor.best_node`), which is how the
 Diospyros data-movement model can tell a Vec gathering from one input
 array apart from a cross-array gather; because a child's choice can
 change between passes, we simply re-relax to fixpoint.
+
+The chosen program comes back as a flat node list (egg's ``RecExpr``);
+a :class:`Term` is built from it only when a caller reads one.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from collections import defaultdict, deque
+from typing import DefaultDict, Dict, List, Optional, Sequence, Tuple
 
 from ..dsl.ast import Term
-from .egraph import EGraph, ENode
+from .egraph import EGraph, ENode, build_term
 
 __all__ = ["CostFunction", "Extractor", "ExtractionResult"]
 
@@ -43,13 +45,45 @@ class CostFunction:
     ) -> float:
         return 1.0 + sum(child_costs)
 
+    def op_costs(self) -> Dict[str, Tuple[float, float]]:
+        """Ops the extractor prices without calling :meth:`node_cost`:
+        ``op -> (constant, penalty)``.  A node with such an op costs
+        ``constant + sum(child_costs)``, plus ``penalty`` when it is
+        nonzero, and that must be what ``node_cost`` returns for it, bit
+        for bit.  Ops left out go through ``node_cost``; the default
+        leaves out every op, so a subclass that only overrides
+        ``node_cost`` stays exact."""
+        return {}
 
-@dataclass
+
 class ExtractionResult:
-    """The extracted term for one root, with its model cost."""
+    """The program extracted for one root, with its model cost.
 
-    term: Term
-    cost: float
+    ``nodes`` is the chosen e-node of each e-class the program reaches,
+    once each, in post-order: children are list indices and the root
+    is last.  :attr:`term` is built from it on first read.  A result
+    made from a term (the compiler's fallback rungs) has no ``nodes``.
+    """
+
+    __slots__ = ("nodes", "cost", "_term")
+
+    def __init__(
+        self,
+        nodes: Optional[List[ENode]] = None,
+        cost: float = 0.0,
+        term: Optional[Term] = None,
+    ) -> None:
+        self.nodes = nodes
+        self.cost = cost
+        self._term = term
+
+    @property
+    def term(self) -> Term:
+        """The program as a :class:`Term`; a node that several parents
+        share is one shared subterm."""
+        if self._term is None:
+            self._term = build_term(self.nodes)
+        return self._term
 
 
 class Extractor:
@@ -60,8 +94,11 @@ class Extractor:
         #: The union-find's root array, updated in place by unions.
         self._canon = egraph.uf.parent
         self.cost_function = cost_function or CostFunction()
-        #: class id -> (cost, chosen node); populated by :meth:`_relax`.
-        self._best: Dict[int, Tuple[float, ENode]] = {}
+        size = len(self._canon)
+        #: Class id -> cost of its best term (``None`` while it has
+        #: none) and the node chosen for it; filled by :meth:`_relax`.
+        self._cost: List[Optional[float]] = [None] * size
+        self._choice: List[Optional[ENode]] = [None] * size
         self._relax()
 
     # ------------------------------------------------------------------
@@ -70,75 +107,132 @@ class Extractor:
         """Cost of the best term in the class, or ``None`` when the
         class contains no finishable term (can happen mid-construction
         or for classes only reachable through cycles)."""
-        entry = self._best.get(self._canon[eclass_id])
-        return None if entry is None else entry[0]
+        cid = self._canon[eclass_id]
+        return self._cost[cid] if cid < len(self._cost) else None
 
     def best_node(self, eclass_id: int) -> Optional[ENode]:
         """The chosen representative e-node of the class."""
-        entry = self._best.get(self._canon[eclass_id])
-        return None if entry is None else entry[1]
+        cid = self._canon[eclass_id]
+        return self._choice[cid] if cid < len(self._choice) else None
 
     def extract(self, eclass_id: int) -> ExtractionResult:
-        """Materialize the chosen term rooted at ``eclass_id``."""
-        cid = self._canon[eclass_id]
-        entry = self._best.get(cid)
-        if entry is None:
-            raise ValueError(f"e-class {cid} has no extractable term")
-        cache: Dict[int, Term] = {}
-        term = self._build_term(cid, cache)
-        return ExtractionResult(term=term, cost=entry[0])
+        """The chosen program rooted at ``eclass_id``: each reachable
+        class's chosen node once, in the post-order (children left to
+        right) in which :meth:`EGraph.add_term` would create classes, so
+        seeding a fresh graph from the list rebuilds exactly the graph
+        the program's term would.  Each stack frame keeps a cursor into
+        its node's children and the positions found so far, and leaf
+        children take no frame."""
+        canon = self._canon
+        choice = self._choice
+        root = canon[eclass_id]
+        cost = self.best_cost(root)
+        if cost is None:
+            raise ValueError(f"e-class {root} has no extractable term")
+        index: Dict[int, int] = {}
+        nodes: List[ENode] = []
+        stack = [root]
+        cursors = [0]
+        positions: List[List[int]] = [[]]
+        while True:
+            node = choice[stack[-1]]
+            children = node.children
+            found = positions[-1]
+            i = cursors[-1]
+            while i < len(children):
+                k = canon[children[i]]
+                p = index.get(k)
+                if p is None:
+                    child = choice[k]
+                    if child.children:
+                        break
+                    p = index[k] = len(nodes)
+                    nodes.append(child)
+                found.append(p)
+                i += 1
+            if i < len(children):
+                if len(stack) > len(choice):
+                    raise ValueError(f"e-class {root}'s chosen term is cyclic")
+                cursors[-1] = i + 1
+                stack.append(k)
+                cursors.append(0)
+                positions.append([])
+                continue
+            cid = stack.pop()
+            cursors.pop()
+            positions.pop()
+            p = index[cid] = len(nodes)
+            nodes.append(ENode(node.op, tuple(found), node.value) if children else node)
+            if not stack:
+                return ExtractionResult(nodes, cost)
+            positions[-1].append(p)
 
     # ------------------------------------------------------------------
 
     def _relax(self) -> None:
         """Run choice relaxation to fixpoint, worklist-style.
 
-        The old implementation swept every node of every class until a
-        whole pass made no improvement -- O(passes x nodes) even when
-        almost nothing changes per pass.  Instead we relax
-        *parent-driven*: one seed pass evaluates every (class, node)
-        pair (leaves acquire their costs here), and afterwards a pair
-        is only re-evaluated when one of its children's best choice
-        changed.  The reverse child->users index is derived from the
-        nodes themselves (the canonical form of the ``parents`` links)
-        with canonical child ids memoized per pair, so each improvement
-        costs exactly its fan-out.
+        One seed pass evaluates every (class, node) pair in class-table
+        order (leaves acquire their costs here); afterwards a pair is
+        re-evaluated, first in first out, only when one of its
+        children's best choice changed, and a new cost replaces the old
+        only when it is lower by more than 1e-12.  Ties go to the pair
+        evaluated first, so this order decides programs.  The pairs
+        live in flat arrays with their canonical child ids, and the
+        reverse child->users index comes from the nodes themselves, so
+        each improvement costs exactly its fan-out.
 
-        The cost function may inspect a child's *chosen* node via
-        :meth:`best_node`; any change of a child's choice goes through
-        ``best`` and re-queues all users, so the hook stays sound.
+        A pair whose op is in the cost function's
+        :meth:`~CostFunction.op_costs` table is priced inline; only the
+        others call ``node_cost``.  That hook may inspect a child's
+        *chosen* node via :meth:`best_node`; any change of a child's
+        choice re-queues all its users, so the hook stays sound.
 
-        A work cap of ``_MAX_PASSES`` evaluations per node replicates
-        the old non-convergence guard: a non-monotonic cost model on a
-        cyclic graph keeps "improving" forever and trips it.
+        A work cap of ``_MAX_PASSES`` evaluations per node guards
+        against non-convergence: a non-monotonic cost model on a cyclic
+        graph keeps "improving" forever and trips it.
         """
-        egraph = self.egraph
         canon = self._canon
-        best = self._best
-        cost_fn = self.cost_function
+        cost_of = self._cost
+        choice = self._choice
+        node_cost = self.cost_function.node_cost
+        table = self.cost_function.op_costs()
 
-        # All (canonical class, node, canonical child ids) triples plus
-        # the reverse index: child class -> triples that consume it.
-        pairs: List[Tuple[int, ENode, Tuple[int, ...]]] = []
-        users: Dict[int, List[int]] = {}
-        for eclass in egraph.classes():
-            cid = canon[eclass.id]
+        # Per (class, node) pair: its class, node, canonical child ids
+        # and table price (None: priced by ``node_cost``); and the
+        # reverse index, child class -> pairs that consume it.  A pair
+        # listed twice for one child (``Vec 0 0``) is queued once all
+        # the same, so the lists are not deduplicated.
+        pair_class: List[int] = []
+        pair_node: List[ENode] = []
+        pair_kids: List[Sequence[int]] = []
+        pair_price: List[Optional[Tuple[float, float]]] = []
+        users: DefaultDict[int, List[int]] = defaultdict(list)
+        for cid, eclass in self.egraph.class_table.items():
             for node in eclass.nodes:
-                kids = tuple(map(canon.__getitem__, node.children))
-                idx = len(pairs)
-                pairs.append((cid, node, kids))
-                for k in set(kids):
-                    users.setdefault(k, []).append(idx)
+                idx = len(pair_node)
+                pair_class.append(cid)
+                pair_node.append(node)
+                pair_price.append(table.get(node.op))
+                if node.children:
+                    kids = [canon[c] for c in node.children]
+                    for k in kids:
+                        users[k].append(idx)
+                    pair_kids.append(kids)
+                else:
+                    pair_kids.append(())
 
-        total = len(pairs)
+        total = len(pair_node)
         ops_cap = _MAX_PASSES * max(1, total)
         ops = 0
 
         worklist = deque(range(total))
+        popleft = worklist.popleft
+        push = worklist.append
         queued = [True] * total
 
         while worklist:
-            idx = worklist.popleft()
+            idx = popleft()
             queued[idx] = False
             ops += 1
             if ops > ops_cap:
@@ -146,32 +240,24 @@ class Extractor:
                     "extraction did not converge; is the cost function "
                     "strictly monotonic?"
                 )
-            cid, node, kids = pairs[idx]
-            child_entries = [best.get(k) for k in kids]
-            if any(entry is None for entry in child_entries):
-                # Not yet extractable; when a child gains an entry its
+            child_costs = [cost_of[k] for k in pair_kids[idx]]
+            if None in child_costs:
+                # Not yet extractable; when a child gains a cost its
                 # users (this pair included) are re-queued.
                 continue
-            child_costs = [entry[0] for entry in child_entries]  # type: ignore[index]
-            cost = cost_fn.node_cost(self, node, child_costs)
-            current = best.get(cid)
-            if current is None or cost < current[0] - 1e-12:
-                best[cid] = (cost, node)
+            price = pair_price[idx]
+            if price is None:
+                cost = node_cost(self, pair_node[idx], child_costs)
+            else:
+                cost = price[0] + sum(child_costs)
+                if price[1]:
+                    cost += price[1]
+            cid = pair_class[idx]
+            current = cost_of[cid]
+            if current is None or cost < current - 1e-12:
+                cost_of[cid] = cost
+                choice[cid] = pair_node[idx]
                 for uidx in users.get(cid, ()):
                     if not queued[uidx]:
                         queued[uidx] = True
-                        worklist.append(uidx)
-
-    def _build_term(self, cid: int, cache: Dict[int, Term]) -> Term:
-        cid = self._canon[cid]
-        hit = cache.get(cid)
-        if hit is not None:
-            return hit
-        entry = self._best.get(cid)
-        if entry is None:
-            raise ValueError(f"e-class {cid} has no extractable term")
-        node = entry[1]
-        args = tuple(self._build_term(c, cache) for c in node.children)
-        term = Term(node.op, args, node.value)
-        cache[cid] = term
-        return term
+                        push(uidx)

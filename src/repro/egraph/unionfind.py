@@ -62,6 +62,15 @@ class UnionFind:
         self._next.append(new_id)
         return new_id
 
+    def make_sets(self, count: int) -> range:
+        """Create ``count`` fresh singleton sets at once; return their
+        ids, the state ``count`` calls of :meth:`make_set` leave."""
+        ids = range(len(self._parent), len(self._parent) + count)
+        self._parent.extend(ids)
+        self._size.extend([1] * count)
+        self._next.extend(ids)
+        return ids
+
     def find(self, x: int) -> int:
         """Return the canonical representative of ``x``'s set."""
         return self._parent[x]

@@ -9,7 +9,7 @@ monolithic runs blow the node budget (2DConv 8x8/4x4, MatMul 16x16;
 see EXPERIMENTS.md).
 
 * :mod:`.sketch`  -- the goal-sketch DSL (shape predicates over a
-  term's operator histogram).
+  program's operator histogram).
 * :mod:`.plan`    -- :class:`PhasePlan` / :class:`Phase` and the
   shipped :func:`default_plan`, the one plan the compiler runs.
 * :mod:`.execute` -- the executor wiring phases through the existing

@@ -1,10 +1,14 @@
 """The phase executor: run a :class:`~.plan.PhasePlan` to completion.
 
 Each phase seeds a **fresh** e-graph with the previous phase's
-extracted term, saturates it through the existing
+extracted program, saturates it through the existing
 :class:`~repro.egraph.runner.Runner` with the phase's rule subset and
 budgets, extracts with a sketch-biased cost model, and checks the
-result against the phase sketch.  The re-seed is the whole trick: the
+result against the phase sketch.  The boundary is the extractor's flat
+node list: a round scores the sketch on its op histogram, compares it
+with the round's seed for progress, and seeds the next graph from it;
+a :class:`~repro.dsl.ast.Term` is built only when a caller reads
+:attr:`PhaseExecution.term`.  The re-seed is the whole trick: the
 runner's node watchdog compares the *cumulative* e-node counter
 (``EGraph.version``) against the budget, and extraction throws away
 every e-class that did not make it into the chosen term -- so a phase
@@ -41,12 +45,12 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..chaos.inject import chaos_point
-from ..dsl.ast import Term, unique_size
+from ..dsl.ast import Term
 from ..egraph.egraph import EGraph, ENode
-from ..egraph.extract import CostFunction, Extractor
+from ..egraph.extract import CostFunction, ExtractionResult, Extractor
 from ..egraph.runner import Runner, RunReport, StopReason
 from ..egraph.scheduler import BackoffScheduler, RuleStats
 from ..observability import current_session, span
@@ -105,6 +109,22 @@ class SketchBiasedCost(CostFunction):
         if node.op in self.penalty:
             cost += self.PENALTY
         return cost
+
+    def op_costs(self) -> Dict[str, Tuple[float, float]]:
+        """The base model's table with a reward replacing the entry and
+        a penalty added after the base cost.  A base entry that already
+        carries a penalty cannot take a second one in the same float
+        order, so such an op is left to :meth:`node_cost`."""
+        table = {}
+        for op, (constant, penalty) in self.base.op_costs().items():
+            if op in self.penalty:
+                if penalty:
+                    continue
+                penalty = self.PENALTY
+            table[op] = (constant, penalty)
+        for op in self.reward:
+            table[op] = (self.REWARD_MARGINAL, 0.0)
+        return table
 
 
 def biased_cost(base: CostFunction, sketch: Optional[Sketch]) -> CostFunction:
@@ -206,16 +226,23 @@ class PhaseExecution:
     #: monolithic run's graph).
     egraph: EGraph
     root: int
-    term: Term
+    #: The final boundary: the last round's extraction, or the spec
+    #: term when the deadline cut the plan before phase 1.
+    extraction: ExtractionResult
     #: Merged runner report across every round of every phase.
     report: RunReport
     plan_report: PlanReport
-    #: On failure: the last successful phase boundary's term -- the
-    #: degradation ladder's new rung falls back to it instead of
+    #: On failure: the last successful phase boundary's node list --
+    #: the degradation ladder's new rung falls back to it instead of
     #: dropping all the way to scalar lowering.
-    fallback_term: Optional[Term] = None
+    fallback_nodes: Optional[List[ENode]] = None
     failed: bool = False
     failure: str = ""
+
+    @property
+    def term(self) -> Term:
+        """The final boundary's program, built on first read."""
+        return self.extraction.term
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +302,8 @@ def execute_plan(
     """Run ``plan`` over ``spec`` and return the combined outcome.
 
     Never raises for a crashed rule: that comes back with
-    ``failed=True`` plus the last successful boundary term, and the
-    compiler decides whether to degrade or raise based on
+    ``failed=True`` plus the last successful boundary's node list, and
+    the compiler decides whether to degrade or raise based on
     ``options.fault_tolerance``.
     """
     base_cost = options.cost_model()
@@ -294,8 +321,11 @@ def execute_plan(
     session = current_session()
     start = time.perf_counter()
 
-    term = spec.term
-    last_good: Optional[Term] = None
+    # Phase 1 seeds the spec term; each later phase seeds the node list
+    # the previous phase extracted.
+    seed: Union[Term, List[ENode]] = spec.term
+    extraction: Optional[ExtractionResult] = None
+    last_good: Optional[List[ENode]] = None
     egraph: Optional[EGraph] = None
     root = 0
     failed = False
@@ -311,18 +341,13 @@ def execute_plan(
             "phase", kernel=spec.name, phase=phase.name, index=index
         ) as phase_span:
             chaos_point("phase.start")
-            if session is not None:
-                session.record_event(
-                    "phase_start",
-                    phase=phase.name,
-                    index=index,
-                    plan=plan.name,
-                    seed_size=unique_size(term),
-                )
-            phase_report, term, egraph, root, crash, cut = _run_phase(
-                spec, options, fingerprint, index, phase, term, base_cost,
-                store, merged, session,
+            # Free the previous phase's graph before this one seeds its own.
+            egraph = None
+            phase_report, extraction, egraph, root, crash, cut = _run_phase(
+                spec, options, plan.name, fingerprint, index, phase, seed,
+                base_cost, store, merged, session,
             )
+            seed = extraction.nodes
             plan_report.phases.append(phase_report)
             if index == 0:
                 # Phase 1's first round seeded ``spec.term`` into a
@@ -368,7 +393,7 @@ def execute_plan(
                 if phase_span is not None:
                     phase_span.ok = False
                 break
-            last_good = term
+            last_good = seed
 
     if egraph is None:
         # The deadline cut the plan before phase 1: extraction gets
@@ -376,6 +401,7 @@ def execute_plan(
         egraph = EGraph()
         root = egraph.add_term(spec.term)
         merged.seed_version = egraph.version
+        extraction = ExtractionResult(term=spec.term)
     if cut:
         merged.stop_reason = StopReason.TIME_LIMIT
     plan_report.total_time = time.perf_counter() - start
@@ -396,10 +422,10 @@ def execute_plan(
     return PhaseExecution(
         egraph=egraph,
         root=root,
-        term=term,
+        extraction=extraction,
         report=merged,
         plan_report=plan_report,
-        fallback_term=last_good if failed else None,
+        fallback_nodes=last_good if failed else None,
         failed=failed,
         failure=failure,
     )
@@ -408,19 +434,21 @@ def execute_plan(
 def _run_phase(
     spec,
     options,
+    plan_name: str,
     fingerprint: str,
     index: int,
     phase: Phase,
-    term: Term,
+    seed: Union[Term, Sequence[ENode]],
     base_cost: CostFunction,
     store,
     merged: RunReport,
     session,
-) -> Tuple[PhaseReport, Term, EGraph, int, Optional[str], bool]:
-    """Run one phase (all its extend rounds).  Returns the phase
-    report, the boundary term, the final round's graph and root, a
-    crash description (``None`` on success), and whether the deadline
-    cut off a further round."""
+) -> Tuple[PhaseReport, ExtractionResult, EGraph, int, Optional[str], bool]:
+    """Run one phase (all its extend rounds) from ``seed``, the spec
+    term or the previous phase's node list.  Returns the phase report,
+    the final round's extraction (the boundary), that round's graph and
+    root, a crash description (``None`` on success), and whether the
+    deadline cut off a further round."""
     rules = _phase_rules(options, phase)
     cost = biased_cost(base_cost, phase.sketch)
     report = PhaseReport(name=phase.name, index=index)
@@ -430,7 +458,18 @@ def _run_phase(
     carried: Optional[Dict[str, RuleStats]] = None
     prev_iterations = 0
     egraph = EGraph()
-    root = egraph.add_term(term)
+    root = egraph.add_term(seed)
+    # A fresh graph holds one class per distinct node, with ids in list
+    # order: read back, this is the seed as a node list.
+    nodes = [eclass.nodes[0] for eclass in egraph.class_table.values()]
+    if session is not None:
+        session.record_event(
+            "phase_start",
+            phase=phase.name,
+            index=index,
+            plan=plan_name,
+            seed_size=len(nodes),
+        )
     crash: Optional[str] = None
     extraction = None
     score = 1.0
@@ -444,7 +483,7 @@ def _run_phase(
                 cut = True
                 break
             egraph = EGraph()
-            root = egraph.add_term(term)
+            root = egraph.add_term(nodes)
         seed_version = egraph.version
         # The budget is resolved once, from the phase's *first* seed
         # (never above the compile's own ``node_limit``), and stays
@@ -494,9 +533,8 @@ def _run_phase(
             merged.resumed_from = run.resumed_from
 
         extraction = Extractor(egraph, cost).extract(root)
-        new_term = extraction.term
         if phase.sketch is not None:
-            counts = op_counts(new_term)
+            counts = op_counts(extraction.nodes)
             score = phase.sketch.score(counts)
             satisfied = phase.sketch.satisfied(counts)
         report.rounds.append(
@@ -528,16 +566,15 @@ def _run_phase(
             crash = f"rule {run.failed_rule or '?'}: {run.error}"
             merged.error = run.error
             merged.failed_rule = run.failed_rule
-            term = new_term
             break
-        progressed = new_term != term
-        term = new_term
+        progressed = extraction.nodes != nodes
+        nodes = extraction.nodes
         if satisfied:
             report.outcome = "extended" if round_index > 0 else ""
             break
         if run.saturated:
             # The round reached a fixpoint within budget: re-seeding
-            # the extracted term would saturate to the same place, so
+            # the extracted program would saturate to the same place, so
             # further rounds cannot close the sketch gap.
             break
         if not progressed:
@@ -551,7 +588,7 @@ def _run_phase(
     report.extracted_cost = extraction.cost if extraction is not None else 0.0
     if crash is None and not satisfied:
         report.outcome = "accepted-miss"
-    return report, term, egraph, root, crash, cut
+    return report, extraction, egraph, root, crash, cut
 
 
 def _deadline_passed(options) -> bool:

@@ -6,7 +6,7 @@ what the program should look like after the phase ("contains a
 ``VecMAC``", "no scalar ``*`` left").  This module is the sketch
 language: small, picklable combinator objects with
 
-* :meth:`Sketch.satisfied` -- does an extracted term meet the goal?
+* :meth:`Sketch.satisfied` -- does an extracted program meet the goal?
 * :meth:`Sketch.score`     -- how close is it, in ``[0, 1]``?  The
   executor records the score per phase round.
 * :meth:`Sketch.required_ops` / :meth:`Sketch.forbidden_ops` -- the
@@ -15,9 +15,9 @@ language: small, picklable combinator objects with
   gone), so the *extractor* pulls the e-graph toward the sketch even
   when the cost model alone would prefer a pre-phase shape.
 
-Every sketch reads only the term's operator histogram
-(:func:`op_counts`), so the executor counts a round's term once and
-hands the counts to every sketch it checks.
+Every sketch reads only the program's operator histogram
+(:func:`op_counts`), so the executor counts a round's extracted node
+list once and hands the counts to every sketch it checks.
 
 Sketches are deliberately plain classes (no lambdas, no closures):
 they ride inside ``PhasePlan`` through pickle across the worker
@@ -27,9 +27,10 @@ equality and nothing process-local.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Tuple
+from collections import Counter
+from typing import Dict, FrozenSet, Iterable, Sequence, Tuple
 
-from ..dsl.ast import Term
+from ..egraph.egraph import ENode
 
 __all__ = [
     "Sketch",
@@ -41,26 +42,18 @@ __all__ = [
 ]
 
 
-def op_counts(term: Term) -> Dict[str, int]:
-    """Operator histogram over the term's unique subterms (DAG nodes,
-    not tree occurrences)."""
-    counts: Dict[str, int] = {}
-    seen = set()
-    stack = [term]
-    while stack:
-        current = stack.pop()
-        if current in seen:
-            continue
-        seen.add(current)
-        counts[current.op] = counts.get(current.op, 0) + 1
-        stack.extend(current.args)
-    return counts
+def op_counts(nodes: Sequence[ENode]) -> Dict[str, int]:
+    """Operator histogram of a program's node list
+    (:meth:`repro.egraph.extract.Extractor.extract`,
+    :func:`repro.egraph.egraph.flatten_term`), which holds each distinct
+    subterm once: DAG nodes, not tree occurrences."""
+    return dict(Counter(node.op for node in nodes))
 
 
 class Sketch:
     """Base sketch.  Subclasses are immutable and compare by repr.
 
-    ``counts`` is a term's :func:`op_counts` histogram."""
+    ``counts`` is a program's :func:`op_counts` histogram."""
 
     def satisfied(self, counts: Dict[str, int]) -> bool:
         return self.score(counts) >= 1.0

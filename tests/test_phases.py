@@ -17,7 +17,7 @@ import pytest
 from repro.baselines import baseline_program
 from repro.compiler import CompileOptions, _selected_plan, compile_spec
 from repro.dsl.ast import Term
-from repro.egraph.egraph import EGraph
+from repro.egraph.egraph import EGraph, flatten_term
 from repro.egraph.rewrite import CustomRewrite
 from repro.evaluation.common import measure
 from repro.kernels import get_kernel
@@ -60,8 +60,8 @@ SCALAR_TERM = Term(
     "List", (Term("+", (_sym("a"), Term("*", (_sym("b"), _num(2))))),)
 )
 #: The operator histograms sketches score (one count per phase round).
-VEC = op_counts(VEC_TERM)
-SCALAR = op_counts(SCALAR_TERM)
+VEC = op_counts(flatten_term(VEC_TERM))
+SCALAR = op_counts(flatten_term(SCALAR_TERM))
 
 
 # ------------------------------------------------------------- sketches
@@ -71,7 +71,7 @@ def test_contains_and_count():
     assert VEC == {"Concat": 1, "Vec": 2, "Num": 3, "Symbol": 1}
     # Unique subterms, not tree occurrences.
     a = _sym("a")
-    assert op_counts(Term("+", (a, a))) == {"+": 1, "Symbol": 1}
+    assert op_counts(flatten_term(Term("+", (a, a)))) == {"+": 1, "Symbol": 1}
     assert Contains("Vec").satisfied(VEC)
     assert not Contains("Vec").satisfied(SCALAR)
     assert Contains("Vec").score(SCALAR) == 0.0
