@@ -16,19 +16,32 @@ baseline holds, per workload, ``counters`` and ``layers_s``:
   holds per-pass averages, so float rounding is tolerated.
 * A layer time fails when it took more than 50 ms and more than twice
   its committed baseline, a baseline under 50 ms counting as 50 ms:
-  shorter times are timing noise.  Layer times are raw wall times, so
-  this rule is only a loose backstop against a slow host.
+  shorter times are timing noise.  Layer times are compared in
+  reference seconds: each raw time is scaled by perfbench's
+  ``REFERENCE_S`` over the median of the report's machine-speed probes
+  (``notes.speed_probes_s``), as perfbench scales its end-to-end
+  times, so a slow period on the host neither trips nor masks the
+  rule.  A report without probes fails.
 
 A baselined counter or layer the report lacks fails too.  Exits 1 on
 any failure.
 """
 
+import importlib.util
 import json
 import math
 import os
+import statistics
 import sys
 
-BASELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "perf_baseline.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+BASELINE = os.path.join(HERE, "perf_baseline.json")
+_calibrate = importlib.util.spec_from_file_location(
+    "calibrate", os.path.join(os.path.dirname(HERE), "perfbench", "calibrate.py"))
+calibrate = importlib.util.module_from_spec(_calibrate)
+_calibrate.loader.exec_module(calibrate)
+#: Probe time that perfbench's scaled durations are expressed against.
+REFERENCE_S = calibrate.REFERENCE_S
 #: Layer times at or under this many seconds never fail the gate.
 FLOOR_S = 0.05
 #: Largest tolerated ratio of a layer's time to its baseline.
@@ -38,7 +51,7 @@ MAX_SLOWDOWN = 2.0
 def check(report, baseline):
     """One message per failure of ``report`` against ``baseline``
     (``{workload: {"counters": {name: count}, "layers_s": {layer:
-    seconds}}}``); empty when the report passes."""
+    reference seconds}}}``); empty when the report passes."""
     workload = report.get("workload")
     if not report.get("trace"):
         return [f"{workload}: untraced report; gate a --trace 1 run"]
@@ -52,15 +65,22 @@ def check(report, baseline):
         elif not math.isclose(layers[name], expected, rel_tol=1e-9, abs_tol=1e-9):
             failures.append(f"{workload}/{name}: {layers[name]:g} differs from "
                             f"the committed {expected} (counters must match exactly)")
+    probes = report.get("notes", {}).get("speed_probes_s")
+    if not probes:
+        failures.append(f"{workload}: no machine-speed probes (notes.speed_probes_s), "
+                        "so layer times cannot be scaled to reference seconds")
+        return failures
+    scale = REFERENCE_S / statistics.median(probes)
     for layer, base_s in sorted(baseline[workload]["layers_s"].items()):
         if layer not in layers:
             failures.append(f"{workload}/{layer}: missing from the report")
             continue
-        seconds = layers[layer]
+        seconds = layers[layer] * scale
         slowdown = seconds / max(base_s, FLOOR_S)
         if seconds > FLOOR_S and slowdown > MAX_SLOWDOWN:
-            failures.append(f"{workload}/{layer}: {seconds:.3f}s is {slowdown:.2f}x "
-                            f"the baseline {base_s:.3f}s (limit {MAX_SLOWDOWN}x)")
+            failures.append(f"{workload}/{layer}: {seconds:.3f} reference s is "
+                            f"{slowdown:.2f}x the baseline {base_s:.3f}s "
+                            f"(limit {MAX_SLOWDOWN}x)")
     return failures
 
 

@@ -43,6 +43,13 @@ __all__ = ["ENode", "EClass", "EGraph", "flatten_term", "build_term"]
 
 Payload = Union[int, float, str, None]
 
+#: How many levels below a class its "near" change stamp reaches (see
+#: :meth:`EGraph.changed_reads`): the deepest read of a searcher that
+#: filters through it.  The ``vec-mac`` searcher reads three levels
+#: below a lane: the lane's ``+``/``-`` children, their product's
+#: operands, and those operands' ``Get`` children.
+NEAR_RADIUS = 3
+
 
 class ENode(NamedTuple):
     """One operator application with e-class children.
@@ -194,6 +201,17 @@ class EGraph:
         #: Canonical class ids whose stamp still has to be propagated
         #: to their ancestors (done lazily, amortized over unions).
         self._dirty_pending: Set[int] = set()
+        #: Id -> tick at which the class was created.
+        self._born: List[int] = []
+        #: Canonical id -> op -> tick at which a union last brought
+        #: nodes with that op into the class; created by the first such
+        #: union.
+        self._arrived: Dict[int, Dict[str, int]] = {}
+        #: Id -> "near" change stamp: for a canonical id, at least the
+        #: tick of the newest change (creation, union root, repair) to
+        #: any class at most ``NEAR_RADIUS`` levels below it, itself
+        #: included.  Propagated with the dirty stamps.
+        self._near: List[int] = []
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -352,6 +370,49 @@ class EGraph:
             counters.skipped += len(self._classes) - len(dirty)
         return dirty
 
+    def changed_reads(
+        self, candidates: Sequence[int], op: str, arity: int, since: int,
+        counters=None,
+    ) -> List[int]:
+        """The ``candidates`` (canonical ids), in their order, whose
+        ``op`` nodes with ``arity`` children may read differently than
+        at tick ``since``: an ``op`` node arrived in the class after
+        ``since`` (the class was created, or a union brought one in), or
+        one such node has a child with a class at most
+        :data:`NEAR_RADIUS` levels below it changed after ``since``.
+
+        A searcher that reads only a candidate's ``op`` nodes of that
+        arity and classes within ``NEAR_RADIUS`` levels below their
+        children finds, on every other candidate, the matches it found
+        at ``since``.  ``counters`` move each dropped candidate from
+        ``visited`` to ``skipped``.
+        """
+        self._propagate_dirty()
+        born = self._born
+        arrived = self._arrived
+        near = self._near.__getitem__
+        canon = self._uf.parent.__getitem__
+        classes = self._classes
+        kept: List[int] = []
+        for cid in candidates:
+            ops = arrived.get(cid)
+            if born[cid] > since or (ops is not None and ops.get(op, 0) > since):
+                kept.append(cid)
+                continue
+            for node in classes[cid].nodes:
+                if (
+                    node.op == op
+                    and len(node.children) == arity
+                    and max(map(near, map(canon, node.children)), default=0) > since
+                ):
+                    kept.append(cid)
+                    break
+        if counters is not None:
+            dropped = len(candidates) - len(kept)
+            counters.visited -= dropped
+            counters.skipped += dropped
+        return kept
+
     def __contains__(self, term: Term) -> bool:
         return self.lookup_term(term) is not None
 
@@ -383,6 +444,7 @@ class EGraph:
         classes = self._classes
         stack = list(pending)
         pending.clear()
+        self._propagate_near(stack)
         while stack:
             cid = canon[stack.pop()]
             eclass = classes.get(cid)
@@ -395,6 +457,31 @@ class EGraph:
                 if pclass is not None and pclass.modified_at < stamp:
                     pclass.modified_at = stamp
                     stack.append(pid)
+
+    def _propagate_near(self, stamped: List[int]) -> None:
+        """Stamp the classes ``stamped`` and those at most
+        :data:`NEAR_RADIUS` levels above them with the current tick.
+
+        The current tick is at least the tick of every change being
+        propagated, so each stamp stays an upper bound: a late stamp
+        can keep a candidate whose change a rule has already seen,
+        never drop one it has not.  Levels are walked breadth first, so
+        a class is stamped first at its smallest distance, and a class
+        already holding the current tick is not walked again."""
+        tick = self.tick
+        near = self._near
+        canon = self._uf.parent
+        classes = self._classes
+        level = [canon[cid] for cid in stamped]
+        for depth in range(NEAR_RADIUS, -1, -1):
+            above: List[int] = []
+            for cid in level:
+                if near[cid] == tick:
+                    continue
+                near[cid] = tick
+                if depth:
+                    above.extend([canon[p] for _node, p in classes[cid].parents])
+            level = above
 
     # ------------------------------------------------------------------
     # Checkpointing (fault tolerance)
@@ -423,6 +510,9 @@ class EGraph:
         new.tick = self.tick
         new._n_nodes = self._n_nodes
         new._dirty_pending = set(self._dirty_pending)
+        new._born = list(self._born)
+        new._arrived = {cid: dict(ops) for cid, ops in self._arrived.items()}
+        new._near = list(self._near)
         return new
 
     def restore_from(self, snapshot: "EGraph") -> None:
@@ -440,6 +530,9 @@ class EGraph:
         self.tick = other.tick
         self._n_nodes = other._n_nodes
         self._dirty_pending = other._dirty_pending
+        self._born = other._born
+        self._arrived = other._arrived
+        self._near = other._near
 
     # ------------------------------------------------------------------
     # Insertion
@@ -465,7 +558,9 @@ class EGraph:
         # A fresh class has no parents yet, so its stamp needs no
         # propagation: any node referencing it later is newer still.
         self.tick += 1
-        eclass.modified_at = self.tick
+        eclass.modified_at = tick = self.tick
+        self._born.append(tick)
+        self._near.append(tick)
         return new_id
 
     def add_term(self, term: Union[Term, Sequence[ENode]]) -> int:
@@ -490,10 +585,11 @@ class EGraph:
     def _seed(self, nodes: Sequence[ENode]) -> bool:
         """Seed an empty graph from a post-order node list, writing
         exactly the state that :meth:`add` would, node by node: node
-        ``i`` gets class ``i``, stamped at tick ``i + 1``, with the same
-        memo and parent entries, and each op-index set is filled in
-        ascending id order (set order decides match order).  Writes
-        nothing and returns ``False`` when a node repeats."""
+        ``i`` gets class ``i``, stamped, born and near-stamped at tick
+        ``i + 1``, with the same memo and parent entries, and each
+        op-index set is filled in ascending id order (set order decides
+        match order).  Writes nothing and returns ``False`` when a node
+        repeats."""
         count = len(nodes)
         memo = dict(zip(nodes, range(count)))
         if len(memo) != count:
@@ -502,8 +598,9 @@ class EGraph:
         classes = self._classes
         op_index = self._op_index
         tick = self.tick
+        stamps = list(range(tick + 1, tick + count + 1))
         for i, node in enumerate(nodes):
-            classes[i] = EClass(i, [node], [], tick + i + 1)
+            classes[i] = EClass(i, [node], [], stamps[i])
             ids = op_index.get(node.op)
             if ids is None:
                 ids = op_index[node.op] = set()
@@ -512,6 +609,8 @@ class EGraph:
                 for child in set(node.children):
                     classes[child].parents.append((node, i))
         self._memo = memo
+        self._born = stamps
+        self._near = list(stamps)
         self.version += count
         self._n_nodes += count
         self.tick = tick + count
@@ -559,6 +658,15 @@ class EGraph:
         winner.parents.extend(loser.parents)
         self._pending.append(root)
         self._stamp(winner)
+        # The loser's nodes arrive in the winner now.
+        arrived = self._arrived
+        arrived.pop(other, None)
+        ops = arrived.get(root)
+        if ops is None:
+            ops = arrived[root] = {}
+        tick = self.tick
+        for node in loser.nodes:
+            ops[node.op] = tick
         return True
 
     def rebuild(self) -> int:

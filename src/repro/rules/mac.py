@@ -34,7 +34,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from ..egraph.egraph import EGraph, ENode
 from ..egraph.rewrite import CustomRewrite, Match, Rewrite, SearchContext
-from .vector import Canon, Classes, operand_sort_key
+from .vector import Canon, Classes, operand_sort_key, vec_candidates
 
 __all__ = ["mac_rule"]
 
@@ -111,10 +111,7 @@ def mac_rule(width: int) -> Rewrite:
         matches: List[Match] = []
         classes = egraph.class_table
         canon = egraph.uf.parent
-        candidates = egraph.classes_with_op(
-            "Vec", since=ctx.since, counters=ctx.counters
-        )
-        for root in candidates:
+        for root in vec_candidates(egraph, ctx, width):
             for node in classes[root].nodes:
                 if node.op != "Vec" or len(node.children) != width:
                     continue

@@ -58,6 +58,23 @@ Classes = Dict[int, EClass]
 Canon = Sequence[int]
 
 
+def vec_candidates(egraph: EGraph, ctx: SearchContext, width: int) -> List[int]:
+    """The classes a searcher over width-``width`` ``Vec`` nodes must
+    search: every class holding a ``Vec`` node on a full rescan, and
+    otherwise only those whose ``Vec`` nodes may read differently than
+    at the rule's cursor (:meth:`EGraph.changed_reads`).  The lane
+    searchers read at most ``NEAR_RADIUS`` levels below a lane, so
+    every other candidate would yield the matches it yielded then."""
+    candidates = egraph.classes_with_op(
+        "Vec", since=ctx.since, counters=ctx.counters
+    )
+    if ctx.since is None:
+        return candidates
+    return egraph.changed_reads(
+        candidates, "Vec", width, ctx.since, ctx.counters
+    )
+
+
 def _class_literal(
     classes: Classes, canon: Canon, eclass_id: int
 ) -> Optional[float]:
@@ -197,10 +214,7 @@ def binary_vectorize_rule(width: int) -> Rewrite:
         matches: List[Match] = []
         classes = egraph.class_table
         canon = egraph.uf.parent
-        candidates = egraph.classes_with_op(
-            "Vec", since=ctx.since, counters=ctx.counters
-        )
-        for root in candidates:
+        for root in vec_candidates(egraph, ctx, width):
             for node in classes[root].nodes:
                 if node.op != "Vec" or len(node.children) != width:
                     continue
@@ -313,10 +327,7 @@ def unary_vectorize_rule(width: int) -> Rewrite:
         matches: List[Match] = []
         classes = egraph.class_table
         canon = egraph.uf.parent
-        candidates = egraph.classes_with_op(
-            "Vec", since=ctx.since, counters=ctx.counters
-        )
-        for root in candidates:
+        for root in vec_candidates(egraph, ctx, width):
             for node in classes[root].nodes:
                 if node.op != "Vec" or len(node.children) != width:
                     continue

@@ -6,6 +6,9 @@ dedup keys all feed these counters, so a drift in any of them fails
 here by name.  The values were recorded with the path-halving
 union-find and dataclass e-nodes; CI also runs this file under a
 second hash seed, since dedup keys must not depend on string hashing.
+The matches, deduped, visited and skipped columns were re-recorded
+when the ``Vec`` searchers began skipping classes whose reads are
+unchanged (``EGraph.changed_reads``); applied and unions did not move.
 """
 
 import dataclasses
@@ -18,17 +21,17 @@ from repro.kernels import get_kernel
 CONV_3X3_3X3_ITERATIONS = [
     (1, 1, 1, 0, 848, 0),
     (20, 19, 19, 1, 22, 847),
-    (60, 40, 34, 20, 142, 847),
-    (119, 59, 35, 60, 215, 898),
-    (185, 66, 41, 119, 329, 946),
-    (205, 70, 52, 135, 320, 1070),
-    (307, 102, 48, 205, 393, 1114),
-    (279, 82, 61, 197, 406, 1223),
-    (303, 70, 32, 233, 363, 1306),
-    (362, 76, 16, 286, 376, 1329),
-    (103, 25, 18, 78, 136, 1597),
-    (119, 20, 7, 99, 128, 1609),
-    (120, 18, 0, 102, 115, 1622),
+    (41, 40, 34, 1, 121, 868),
+    (76, 59, 35, 17, 167, 946),
+    (124, 66, 41, 58, 263, 1012),
+    (143, 70, 52, 73, 248, 1142),
+    (229, 102, 48, 127, 306, 1201),
+    (187, 82, 61, 105, 313, 1316),
+    (216, 70, 32, 146, 273, 1396),
+    (272, 76, 16, 196, 283, 1422),
+    (70, 25, 18, 45, 103, 1630),
+    (86, 20, 7, 66, 95, 1642),
+    (91, 18, 0, 73, 85, 1652),
 ]
 
 #: Phase -> one (round, stop_reason, iterations, seed_version,

@@ -93,6 +93,8 @@ def graph_state(egraph):
         "op_clean": dict(egraph._op_clean),
         "counters": (egraph.tick, egraph.version, egraph._n_nodes),
         "pending": (list(egraph._pending), sorted(egraph._dirty_pending)),
+        "arrival": (list(egraph._born), list(egraph._arrived.items())),
+        "near": list(egraph._near),
     }
 
 

@@ -188,7 +188,7 @@ def test_incremental_visits_fewer_classes():
 def test_full_rescan_visits_at_least_twice_the_classes():
     """On the largest quick paper kernel, 2dconv-3x3-3x3, the dirty-set
     matcher examines at most half the candidate classes a full rescan
-    does (3,793 against 18,201)."""
+    does (3,127 against 18,201)."""
     spec = get_kernel("2dconv-3x3-3x3").spec()
     visited = {}
     for incremental in (True, False):

@@ -1,6 +1,8 @@
 """The counter and wall-time gate on traced perfbench reports
 (``benchmarks/perf_gate.py``): its rules on synthetic reports, its exit
-status, and the shape of the committed baseline."""
+status, and the shape of the committed baseline.  Synthetic reports
+carry machine-speed probes at the reference speed unless a test says
+otherwise, so their layer times are reference seconds."""
 
 import importlib.util
 import json
@@ -34,10 +36,15 @@ def _per_layer(entry):
     return dict(entry["counters"], **entry["layers_s"])
 
 
+def _notes(speed=1.0):
+    """Report notes whose probes ran ``speed`` times the reference."""
+    return {"speed_probes_s": [speed * perf_gate.REFERENCE_S] * 3}
+
+
 def _report(workload="table1-small", trace=1, **overrides):
     entry = BASELINE.get(workload)
     layers = dict(_per_layer(entry) if entry else {}, **overrides)
-    return {"workload": workload, "trace": trace, "per_layer": layers}
+    return {"workload": workload, "trace": trace, "per_layer": layers, "notes": _notes()}
 
 
 def test_report_equal_to_its_baseline_passes():
@@ -49,6 +56,39 @@ def test_slowdown_past_twice_the_baseline_fails_and_names_the_layer():
     assert len(failures) == 1
     assert "table1-small/egraph.extract_s" in failures[0]
     assert "2.10x" in failures[0]
+
+
+def test_slow_host_is_scaled_back_to_reference_seconds():
+    """Raw layer times 2.2x the baseline pass when the probes ran 2.2x
+    slow too: the host got slower, not the compiler."""
+    times = BASELINE["table1-small"]["layers_s"]
+    report = _report(**{layer: 2.2 * s for layer, s in times.items()})
+    report["notes"] = _notes(speed=2.2)
+    assert perf_gate.check(report, BASELINE) == []
+
+
+def test_threefold_regression_at_reference_speed_fails():
+    failures = perf_gate.check(_report(**{"egraph.saturate_s": 2.7}), BASELINE)
+    assert len(failures) == 1
+    assert "table1-small/egraph.saturate_s" in failures[0]
+    assert "3.00x" in failures[0]
+
+
+def test_fast_host_does_not_mask_a_regression():
+    """A layer 2.2x slower on a host twice as fast reads 1.1x raw and
+    still fails."""
+    report = _report(**{"egraph.saturate_s": 1.1 * 0.9})
+    report["notes"] = _notes(speed=0.5)
+    (failure,) = perf_gate.check(report, BASELINE)
+    assert "table1-small/egraph.saturate_s" in failure
+    assert "2.20x" in failure
+
+
+def test_report_without_probes_fails():
+    report = _report()
+    del report["notes"]
+    (failure,) = perf_gate.check(report, BASELINE)
+    assert "table1-small: no machine-speed probes" in failure
 
 
 def test_slowdown_under_the_floor_passes():
@@ -102,7 +142,7 @@ def test_missing_layer_fails():
 def _run_gate(tmp_path, workload, layers):
     path = tmp_path / "report.json"
     path.write_text(json.dumps(
-        {"workload": workload, "trace": 1, "per_layer": layers}
+        {"workload": workload, "trace": 1, "per_layer": layers, "notes": _notes()}
     ))
     return subprocess.run([sys.executable, GATE, str(path)],
                           capture_output=True, text=True, timeout=60)
