@@ -212,6 +212,10 @@ class EGraph:
         #: any class at most ``NEAR_RADIUS`` levels below it, itself
         #: included.  Propagated with the dirty stamps.
         self._near: List[int] = []
+        #: :meth:`changed_reads`'s decisions, candidate id -> kept, for
+        #: the one ``(tick, op, arity, since)`` key in ``_reads_key``.
+        self._reads_key: Optional[Tuple[int, str, int, int]] = None
+        self._reads: Dict[int, bool] = {}
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -386,32 +390,46 @@ class EGraph:
         children finds, on every other candidate, the matches it found
         at ``since``.  ``counters`` move each dropped candidate from
         ``visited`` to ``skipped``.
+
+        Each candidate is decided once per ``(tick, op, arity, since)``:
+        the searchers of one search phase that share a cursor share the
+        decisions, as the graph cannot change while the tick stands.
         """
         self._propagate_dirty()
-        born = self._born
-        arrived = self._arrived
-        near = self._near.__getitem__
-        canon = self._uf.parent.__getitem__
-        classes = self._classes
+        key = (self.tick, op, arity, since)
+        if self._reads_key != key:
+            self._reads_key = key
+            self._reads = {}
+        decided = self._reads
         kept: List[int] = []
         for cid in candidates:
-            ops = arrived.get(cid)
-            if born[cid] > since or (ops is not None and ops.get(op, 0) > since):
+            keep = decided.get(cid)
+            if keep is None:
+                keep = decided[cid] = self._reads_changed(cid, op, arity, since)
+            if keep:
                 kept.append(cid)
-                continue
-            for node in classes[cid].nodes:
-                if (
-                    node.op == op
-                    and len(node.children) == arity
-                    and max(map(near, map(canon, node.children)), default=0) > since
-                ):
-                    kept.append(cid)
-                    break
         if counters is not None:
             dropped = len(candidates) - len(kept)
             counters.visited -= dropped
             counters.skipped += dropped
         return kept
+
+    def _reads_changed(self, cid: int, op: str, arity: int, since: int) -> bool:
+        """:meth:`changed_reads`'s decision for the one candidate
+        ``cid``."""
+        ops = self._arrived.get(cid)
+        if self._born[cid] > since or (ops is not None and ops.get(op, 0) > since):
+            return True
+        near = self._near.__getitem__
+        canon = self._uf.parent.__getitem__
+        for node in self._classes[cid].nodes:
+            if (
+                node.op == op
+                and len(node.children) == arity
+                and max(map(near, map(canon, node.children)), default=0) > since
+            ):
+                return True
+        return False
 
     def __contains__(self, term: Term) -> bool:
         return self.lookup_term(term) is not None
@@ -494,8 +512,8 @@ class EGraph:
         ids are preserved, which is what lets the saturation runner
         resume a persisted checkpoint without invalidating ids held by
         callers (e.g. the compiler's root id).  The op-index clean
-        marks are not copied: a restored graph may repeat a tick it had
-        before.
+        marks and :meth:`changed_reads`'s decisions are not copied: a
+        restored graph may repeat a tick it had before.
         """
         new = EGraph()
         new._uf = self._uf.copy()
@@ -526,6 +544,8 @@ class EGraph:
         self._pending = other._pending
         self._op_index = other._op_index
         self._op_clean = other._op_clean
+        self._reads_key = None
+        self._reads = {}
         self.version = other.version
         self.tick = other.tick
         self._n_nodes = other._n_nodes

@@ -192,16 +192,18 @@ class SyntacticRewrite(Rewrite):
         #: lists its bindings in this fixed order.
         self._key_vars = tuple(sorted(pattern_vars(self.lhs)))
         #: The left-hand side's matcher per deadline variant (polled or
-        #: not), resolved on first use; see :meth:`_matcher`.
+        #: not), resolved on first use; see :meth:`matcher`.
         self._generated: dict = {}
 
     def __getstate__(self) -> dict:
         # Generated matchers are compiled per process and do not pickle.
         return {**self.__dict__, "_generated": {}}
 
-    def _matcher(self, polled: bool):
+    def matcher(self, polled: bool):
         """The left-hand side's :func:`matcher_for`, resolved once per
-        deadline variant instead of looked up by pattern per search."""
+        deadline variant instead of looked up by pattern per search.  A
+        process that forks compiles may resolve it ahead, so that every
+        fork inherits it."""
         try:
             return self._generated[polled]
         except KeyError:
@@ -218,7 +220,7 @@ class SyntacticRewrite(Rewrite):
         matches: List[Match] = []
         polled = deadline is not None and deadline.at is not None
         found = run_matcher(
-            egraph, self.lhs, self._matcher(polled), deadline, since, counters
+            egraph, self.lhs, self.matcher(polled), deadline, since, counters
         )
         key_vars = self._key_vars
         for eclass_id, subst in found:

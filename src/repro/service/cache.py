@@ -21,7 +21,11 @@ everything that could change the answer:
 This module also owns the crash-safe *record* format that cache entries
 and saturation checkpoints (:mod:`repro.service.checkpoint`) share: a
 magic line, a JSON header (key, code version, SHA-256 of the payload)
-and a pickle payload.  Its durability contract (exercised by
+and a pickle payload.  A cache entry's payload is the *result codec*'s
+(:func:`encode_result`): the result pickled without its ``Spec``, which
+the key already pins and every reader re-attaches from its request, so
+a forked worker's payload bytes travel to the supervisor and into the
+record unchanged.  Its durability contract (exercised by
 ``tests/test_service_cache.py`` and ``tests/test_checkpoint_resume.py``):
 
 * :func:`write_record` writes a temp file in the record's directory,
@@ -39,6 +43,7 @@ and a pickle payload.  Its durability contract (exercised by
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -67,6 +72,8 @@ __all__ = [
     "LRUStats",
     "cache_key",
     "code_fingerprint",
+    "decode_result",
+    "encode_result",
     "spec_fingerprint",
     "options_fingerprint",
 ]
@@ -171,13 +178,13 @@ def cache_key(
 
 
 def write_record(
-    path: str, key: str, code: str, value: Any, site: str, **meta: Any
+    path: str, key: str, code: str, payload: bytes, site: str, **meta: Any
 ) -> None:
-    """Publish ``value`` atomically as the record at ``path``; ``meta``
-    adds header fields.  ``site`` is the chaos seam hit before the
-    write.  Raises on any failure, leaving no temp file behind."""
+    """Publish the pickled ``payload`` atomically as the record at
+    ``path``; ``meta`` adds header fields.  ``site`` is the chaos seam
+    hit before the write.  Raises on any failure, leaving no temp file
+    behind."""
     chaos_point(site)
-    payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
     header = json.dumps(
         {
             "format": _FORMAT,
@@ -264,6 +271,36 @@ def read_record(
                 pass
         raise ValueError(f"corrupt record {path}: {exc}") from exc
     return value
+
+
+def encode_result(result: "CompileResult", attempts: int) -> bytes:
+    """The record payload of ``result``: its pickle without the
+    ``Spec``, with ``diagnostics.attempts`` set to ``attempts``.
+    Options whose ``extra_rules`` do not pickle (a closure) lose them
+    and the pickle is retried once, so a result always travels; the
+    cache key still names the rules."""
+    result.diagnostics.attempts = attempts
+    try:
+        return _pickle_spec_less(result)
+    except (pickle.PicklingError, AttributeError, TypeError):
+        result.options = dataclasses.replace(result.options, extra_rules=())
+        return _pickle_spec_less(result)
+
+
+def decode_result(payload: bytes, spec: Optional["Spec"]) -> "CompileResult":
+    """The result a record payload holds, carrying ``spec``; raises when
+    the payload does not unpickle to a result."""
+    result = pickle.loads(payload)
+    if not _is_result(result):
+        raise ValueError(f"unexpected payload {type(result).__name__}")
+    result.spec = spec
+    return result
+
+
+def _pickle_spec_less(result: "CompileResult") -> bytes:
+    return pickle.dumps(
+        dataclasses.replace(result, spec=None), protocol=pickle.HIGHEST_PROTOCOL
+    )
 
 
 def sweep(root: str, suffix: str) -> int:
@@ -405,12 +442,13 @@ class LRUTier:
     eviction is strict LRU -- so a long-lived server's memory cannot
     grow with the key universe.
 
-    Entries are shared objects, not copies: callers must treat cached
-    :class:`~repro.compiler.CompileResult`\\ s as immutable (the only
-    sanctioned mutation is the idempotent ``diagnostics.cache_hit``
-    flag the supervisor sets).  Hit/miss/eviction counts are mirrored
-    into the ambient metrics registry as
-    ``repro_cache_lru_{hits,misses,evictions}_total``.
+    :class:`ArtifactCache` keeps results here without their ``Spec``
+    and hands each reader a shallow copy carrying the reader's own, so
+    the tier holds no spec and its entries' other parts are shared:
+    callers must treat them as immutable (the only sanctioned mutation
+    is the idempotent ``diagnostics.cache_hit`` flag the supervisor
+    sets).  Hit/miss/eviction counts are mirrored into the ambient
+    metrics registry as ``repro_cache_lru_{hits,misses,evictions}_total``.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -465,7 +503,10 @@ class LRUTier:
 
 
 class ArtifactCache:
-    """Content-keyed store of pickled :class:`CompileResult` objects.
+    """Content-keyed store of :class:`CompileResult` objects, each
+    recorded by :func:`encode_result` without its ``Spec``.  A reader
+    that passes its request's spec (``get(key, spec)``, ``lookup``)
+    gets it re-attached; the key pins everything a spec holds.
 
     All failure modes on the read path degrade to a miss; all failure
     modes on the write path degrade to "not cached".  The cache is
@@ -505,15 +546,19 @@ class ArtifactCache:
 
     # ------------------------------------------------------------- read
 
-    def get(self, key: str) -> Optional["CompileResult"]:
-        """Load an entry; any integrity failure is a counted miss.
-        With the memory tier on, a hot key never touches disk and a
-        disk hit populates the tier for the next reader."""
+    def get(
+        self, key: str, spec: Optional["Spec"] = None
+    ) -> Optional["CompileResult"]:
+        """Load an entry, carrying ``spec`` (the request's, which the
+        key pins; ``None`` leaves the result without one); any
+        integrity failure is a counted miss.  With the memory tier on,
+        a hot key never touches disk and a disk hit populates the tier
+        for the next reader."""
         if self.lru is not None:
             cached = self.lru.get(key)
             if cached is not None:
                 self.stats.hits += 1
-                return cached
+                return dataclasses.replace(cached, spec=spec)
         try:
             result = read_record(
                 self._path(key), key, self.code_version, "cache.read",
@@ -532,20 +577,30 @@ class ArtifactCache:
         self.stats.hits += 1
         if self.lru is not None:
             self.lru.put(key, result)
+            return dataclasses.replace(result, spec=spec)
+        result.spec = spec
         return result
 
     def lookup(
         self, spec: "Spec", options: "CompileOptions"
     ) -> Optional["CompileResult"]:
-        return self.get(self.key_for(spec, options))
+        return self.get(self.key_for(spec, options), spec)
 
     # ------------------------------------------------------------ write
 
-    def put(self, key: str, result: "CompileResult") -> bool:
-        """Persist an entry atomically; returns False if not cached."""
+    def put(
+        self, key: str, result: "CompileResult", payload: Optional[bytes] = None
+    ) -> bool:
+        """Persist an entry atomically; returns False if not cached.
+        ``payload`` is ``result``'s :func:`encode_result` bytes when the
+        caller has them (a worker sent them); otherwise ``result`` is
+        pickled here, without its spec and as it is: options that do
+        not pickle leave it uncached."""
         try:
+            if payload is None:
+                payload = _pickle_spec_less(result)
             write_record(
-                self._path(key), key, self.code_version, result, "cache.write",
+                self._path(key), key, self.code_version, payload, "cache.write",
                 kernel=getattr(result.spec, "name", ""), created=time.time(),
             )
         except Exception:
@@ -553,7 +608,7 @@ class ArtifactCache:
             return False
         self.stats.stores += 1
         if self.lru is not None:
-            self.lru.put(key, result)
+            self.lru.put(key, dataclasses.replace(result, spec=None))
         return True
 
     def store(

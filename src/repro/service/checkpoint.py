@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import pickle
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -134,7 +135,8 @@ class FileCheckpointer:
     def save(self, state: SaturationState) -> bool:
         try:
             write_record(
-                self.path, self.key, code_fingerprint(), state,
+                self.path, self.key, code_fingerprint(),
+                pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL),
                 "checkpoint.write", next_iteration=state.next_iteration,
             )
         except Exception:

@@ -523,7 +523,7 @@ class CompileGateway:
         cache = self.service.cache
         if cache is None:
             return None
-        hit = cache.get(cache.key_for(spec, options))
+        hit = cache.get(cache.key_for(spec, options), spec)
         if hit is not None:
             hit.diagnostics.cache_hit = True
         return hit

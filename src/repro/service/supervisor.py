@@ -19,6 +19,13 @@ never take down a sweep.  Around the worker it layers:
   consulted before any worker is spawned, written after any
   non-degraded success; hits are marked ``diagnostics.cache_hit``.
 
+A forked compile costs its compile (DESIGN.md §7, "Warm forks, one
+payload"): before its first fork for a ruleset configuration the
+supervisor builds the shipped rules and their generated matchers, which
+every later fork inherits, and a worker's result arrives as the cache's
+record payload, unpickled once here and written to the cache as it
+came.
+
 ``compile_many`` fans a batch out over a bounded thread pool, each
 thread supervising its own subprocess; results come back in input
 order with per-item errors instead of a batch abort.
@@ -36,10 +43,11 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _mp_wait
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..chaos.inject import chaos_flag, current_plan, set_attempt
 from ..compiler import CompileOptions, CompileResult, compile_spec
+from ..egraph.rewrite import SyntacticRewrite
 from ..errors import (
     CircuitOpenError,
     DeadlineExceededError,
@@ -52,8 +60,9 @@ from ..errors import (
 from ..frontend.lift import Spec
 from ..observability import count as _obs_count, current_session
 from ..observability import event as _obs_event, span as _obs_span
+from ..rules import build_ruleset
 from ..seeding import stable_rng
-from .cache import ArtifactCache
+from .cache import ArtifactCache, decode_result
 from .worker import CompileTask, FaultInjection, WorkerLimits, worker_main
 
 __all__ = [
@@ -83,6 +92,40 @@ _DEADLINE_KILL_GRACE = 2.0
 
 #: Default ring capacity of ``CompileService.breaker_log``.
 _BREAKER_LOG_LIMIT = 1024
+
+#: Ruleset configurations ``(vector width, vector rules on, polled)``
+#: whose shipped rules and matchers this process holds (:func:`_warm`).
+_WARM: Set[Tuple[int, bool, bool]] = set()
+_WARM_LOCK = threading.Lock()
+
+
+def _warm(options: CompileOptions) -> None:
+    """Build, in this process, the shipped ruleset a worker compiling
+    with ``options`` runs, and resolve every syntactic rule's generated
+    matcher for the worker's deadline variant (polled when its deadline
+    can expire), so that every later fork inherits them instead of
+    regenerating them.  Once per process and configuration.  The
+    ``extra_rules`` are left to the worker, so no user code runs here,
+    and so is a configuration the ruleset rejects: the worker reports
+    it."""
+    polled = options.time_limit is not None or options.deadline is not None
+    config = (options.vector_width, options.enable_vector_rules, polled)
+    if config in _WARM:
+        return
+    with _WARM_LOCK:
+        if config in _WARM:
+            return
+        try:
+            rules = build_ruleset(
+                width=options.vector_width,
+                enable_vector=options.enable_vector_rules,
+            )
+        except ValueError:
+            rules = []
+        for rule in rules:
+            if isinstance(rule, SyntacticRewrite):
+                rule.matcher(polled)
+        _WARM.add(config)
 
 
 class BoundedLog:
@@ -289,7 +332,7 @@ class CompileService:
             key = None
             if self.cache is not None:
                 key = self.cache.key_for(spec, options)
-                cached = self.cache.get(key)
+                cached = self.cache.get(key, spec)
                 if cached is not None:
                     cached.diagnostics.cache_hit = True
                     with self._lock:
@@ -378,7 +421,9 @@ class CompileService:
                     "service.attempt", kernel=spec.name, attempt=attempt
                 ) as att_span:
                     try:
-                        result = self._run_once(spec, shrunk, attempt, inject)
+                        result, payload = self._run_once(
+                            spec, shrunk, attempt, inject
+                        )
                     except Exception as exc:  # noqa: BLE001 - classified below
                         if self._draining.is_set():
                             # The drain killed (or preempted) this
@@ -407,21 +452,23 @@ class CompileService:
                             break
                         continue
                     self._adopt_worker_trace(result)
-                with self._lock:
-                    if self._strikes.get(spec.name, 0):
-                        self._breaker_event(spec.name, "close", 0)
-                    self._strikes[spec.name] = 0
-                result.diagnostics.attempts = attempt + 1
-                if self.cache is not None and key is not None:
-                    # Degraded results are never cached.  Neither is a
-                    # deadline-clamped compile that timed out: it produced
-                    # a barely-saturated artifact, and the cache key
-                    # excludes the deadline, so caching it would serve
-                    # the rushed result to unconstrained requests.
-                    rushed = options.deadline is not None and result.timed_out
-                    if not result.degraded and not rushed:
-                        self.cache.put(key, result)
-                return result
+                    with self._lock:
+                        if self._strikes.get(spec.name, 0):
+                            self._breaker_event(spec.name, "close", 0)
+                        self._strikes[spec.name] = 0
+                    result.diagnostics.attempts = attempt + 1
+                    if self.cache is not None and key is not None:
+                        # Degraded results are never cached.  Neither is
+                        # a deadline-clamped compile that timed out: it
+                        # produced a barely-saturated artifact, and the
+                        # cache key excludes the deadline, so caching it
+                        # would serve the rushed result to unconstrained
+                        # requests.
+                        rushed = options.deadline is not None and result.timed_out
+                        if not result.degraded and not rushed:
+                            with _obs_span("cache.write", kernel=spec.name):
+                                self.cache.put(key, result, payload)
+                    return result
 
             with self._lock:
                 self.stats.failures += 1
@@ -590,7 +637,9 @@ class CompileService:
         options: CompileOptions,
         attempt: int,
         inject: Optional[FaultInjection],
-    ) -> CompileResult:
+    ) -> Tuple[CompileResult, Optional[bytes]]:
+        """One attempt's result, carrying ``spec``, and its cache record
+        payload when a worker sent one (``None`` in process)."""
         # Parent-side chaos context: attempt-scoped FaultSpecs (e.g.
         # "fail only the first attempt") match against this.
         set_attempt(attempt)
@@ -601,7 +650,7 @@ class CompileService:
                         f"simulated in-process {inject.mode}", kernel=spec.name
                     )
                 inject.trigger()
-            return compile_spec(spec, options)
+            return compile_spec(spec, options), None
         return self._run_isolated(spec, options, attempt, inject)
 
     def _run_isolated(
@@ -610,7 +659,8 @@ class CompileService:
         options: CompileOptions,
         attempt: int,
         inject: Optional[FaultInjection],
-    ) -> CompileResult:
+    ) -> Tuple[CompileResult, bytes]:
+        _warm(options)
         limits = self.limits.derive(options.time_limit)
         if options.deadline is not None:
             # The kill-timeout is normally a generous 3x backstop over
@@ -651,71 +701,35 @@ class CompileService:
         task: CompileTask,
         limits: WorkerLimits,
         stderr_path: Optional[str],
-    ) -> CompileResult:
+    ) -> Tuple[CompileResult, bytes]:
         if chaos_flag("worker.spawn"):
             raise WorkerCrashError(
                 "injected worker spawn failure", kernel=spec.name
             )
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=worker_main,
-            args=(child_conn, task),
-            name=f"repro-worker-{spec.name}-a{task.attempt}",
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
+        with _obs_span("service.fork", kernel=spec.name):
+            parent_conn, child_conn = self._ctx.Pipe(duplex=False)
+            proc = self._ctx.Process(
+                target=worker_main,
+                args=(child_conn, task),
+                name=f"repro-worker-{spec.name}-a{task.attempt}",
+                daemon=True,
+            )
+            proc.start()
+            child_conn.close()
         self._register(proc)
         if self._draining.is_set():
             # A drain that began while this worker was forking swept
             # ``_live`` before the worker was in it.
             self._kill(proc)
-        kill_timeout = limits.kill_timeout or _DEFAULT_KILL_TIMEOUT
-        deadline = time.monotonic() + kill_timeout
-        message = None
         try:
-            while message is None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self._kill(proc)
-                    with self._lock:
-                        self.stats.worker_timeouts += 1
-                    _obs_count(
-                        "repro_service_worker_timeouts_total",
-                        "Workers SIGKILLed at the hard kill-timeout",
-                    )
-                    tail = self._read_stderr_tail(stderr_path)
-                    _obs_event(
-                        "worker_timeout",
-                        kernel=spec.name,
-                        attempt=task.attempt,
-                        kill_timeout=kill_timeout,
-                        stderr_tail=tail or "",
-                    )
-                    raise WorkerTimeoutError(
-                        f"worker exceeded the {kill_timeout:.1f}s kill-timeout "
-                        f"and was SIGKILLed",
-                        kernel=spec.name,
-                        signal=9,
-                        stderr_tail=tail,
-                    )
-                ready = _mp_wait([parent_conn, proc.sentinel], timeout=remaining)
-                if parent_conn in ready:
-                    try:
-                        message = parent_conn.recv()
-                    except (EOFError, OSError):
-                        break  # died between poll and send
-                elif ready:  # sentinel only: process exited
-                    # Drain a message sent just before death, if any.
-                    if parent_conn.poll(0.25):
-                        try:
-                            message = parent_conn.recv()
-                        except (EOFError, OSError):
-                            message = None
-                    break
+            with _obs_span("service.wait", kernel=spec.name):
+                message = self._await_message(
+                    spec, task, proc, parent_conn, limits, stderr_path
+                )
         finally:
             self._unregister(proc)
-            exitcode = self._reap(proc)
+            with _obs_span("service.reap", kernel=spec.name):
+                exitcode = self._reap(proc)
             parent_conn.close()
 
         if message is not None and chaos_flag("worker.result"):
@@ -723,6 +737,15 @@ class CompileService:
             # compile follows the worker-crash path even though the
             # worker exited cleanly.
             message = None
+
+        if message is not None and message[0] == "ok":
+            # A payload that does not decode is as lost as a message
+            # that never came.
+            with _obs_span("service.decode", kernel=spec.name):
+                try:
+                    result = decode_result(message[1], spec)
+                except Exception:  # noqa: BLE001 - any failure is a crash
+                    message = None
 
         if message is None:
             sig = -exitcode if exitcode is not None and exitcode < 0 else None
@@ -756,7 +779,7 @@ class CompileService:
 
         kind, payload = message
         if kind == "ok":
-            return payload
+            return result, payload
         type_name, stage, text = payload
         # Reconstruct a staged error; keep the original type name in the
         # message so is_resource_failure's text taxonomy still matches
@@ -766,6 +789,60 @@ class CompileService:
         if tail:
             error.partial["stderr_tail"] = tail
         raise error
+
+    def _await_message(
+        self,
+        spec: Spec,
+        task: CompileTask,
+        proc,
+        conn,
+        limits: WorkerLimits,
+        stderr_path: Optional[str],
+    ):
+        """The worker's message, or ``None`` when it exited without one;
+        SIGKILLs it and raises :class:`WorkerTimeoutError` at the
+        kill-timeout."""
+        kill_timeout = limits.kill_timeout or _DEFAULT_KILL_TIMEOUT
+        deadline = time.monotonic() + kill_timeout
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                self._kill(proc)
+                with self._lock:
+                    self.stats.worker_timeouts += 1
+                _obs_count(
+                    "repro_service_worker_timeouts_total",
+                    "Workers SIGKILLed at the hard kill-timeout",
+                )
+                tail = self._read_stderr_tail(stderr_path)
+                _obs_event(
+                    "worker_timeout",
+                    kernel=spec.name,
+                    attempt=task.attempt,
+                    kill_timeout=kill_timeout,
+                    stderr_tail=tail or "",
+                )
+                raise WorkerTimeoutError(
+                    f"worker exceeded the {kill_timeout:.1f}s kill-timeout "
+                    f"and was SIGKILLed",
+                    kernel=spec.name,
+                    signal=9,
+                    stderr_tail=tail,
+                )
+            ready = _mp_wait([conn, proc.sentinel], timeout=remaining)
+            if conn in ready:
+                try:
+                    return conn.recv()
+                except (EOFError, OSError):
+                    return None  # died between poll and send
+            if ready:  # sentinel only: process exited
+                # Drain a message sent just before death, if any.
+                if conn.poll(0.25):
+                    try:
+                        return conn.recv()
+                    except (EOFError, OSError):
+                        return None
+                return None
 
     @staticmethod
     def _stderr_scratch(kernel: str, attempt: int) -> Optional[str]:

@@ -1,8 +1,10 @@
 """Subprocess body for sandboxed compilation.
 
 One worker process runs exactly one :func:`repro.compiler.compile_spec`
-under ``resource`` rlimits and ships the result (or an encoded failure)
-back over a pipe.  The hard wall-clock kill is the supervisor's job --
+under ``resource`` rlimits and ships the result back over a pipe as the
+artifact cache's record payload (:func:`repro.service.cache.encode_result`:
+pickled once, without the ``Spec`` the supervisor already holds), or
+an encoded failure.  The hard wall-clock kill is the supervisor's job --
 a process cannot reliably SIGKILL itself out of a tight C loop -- but
 the limits applied here make the common blast radii self-terminating:
 
@@ -34,6 +36,8 @@ try:  # pragma: no cover - resource is POSIX-only
     import resource
 except ImportError:  # pragma: no cover
     resource = None  # type: ignore[assignment]
+
+from .cache import encode_result
 
 __all__ = ["WorkerLimits", "FaultInjection", "CompileTask", "worker_main"]
 
@@ -192,13 +196,7 @@ def worker_main(conn, task: CompileTask) -> None:
         if task.inject is not None and task.inject.fires_on(task.attempt):
             task.inject.trigger()
         result = compile_spec(task.spec, task.options)
-        try:
-            conn.send(("ok", result))
-        except Exception:
-            # Unpicklable payload (e.g. closure-carrying extra_rules in
-            # the captured options): strip the offender and retry once.
-            result.options = dataclasses.replace(result.options, extra_rules=())
-            conn.send(("ok", result))
+        conn.send(("ok", encode_result(result, task.attempt + 1)))
     except BaseException as exc:  # noqa: BLE001 - must never die silently
         try:
             # The traceback goes to stderr (the supervisor's scratch

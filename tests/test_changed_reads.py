@@ -129,6 +129,88 @@ def test_dropped_candidates_yield_only_applied_keys(monkeypatch, case):
     assert audit.checked > 0
 
 
+# ------------------------------------------------------- shared decisions
+
+
+def _vec_rows(report):
+    """Every ``vec-*`` rule's counters and every iteration's rows."""
+    stats = {
+        name: (s.matches, s.applied, s.classes_visited, s.classes_skipped)
+        for name, s in report.rule_stats.items()
+        if name.startswith("vec-")
+    }
+    rows = [
+        (it.matches, it.applied, it.unions, it.nodes, it.visited, it.skipped)
+        for it in report.iterations
+    ]
+    return stats, rows
+
+
+def test_one_search_phase_decides_each_candidate_once(monkeypatch):
+    """The ``vec-*`` searchers of one search phase share their cursor,
+    so ``changed_reads`` decides each candidate once for all of them;
+    every searcher's counters equal those of a run in which each
+    searcher decides for itself."""
+    spec = get_kernel("2dconv-3x3-3x3").spec()
+    real_decide = EGraph._reads_changed
+    real_reads = EGraph.changed_reads
+
+    def run(share):
+        decisions = []
+
+        def decide(egraph, cid, op, arity, since):
+            decisions.append((egraph.tick, op, arity, since, cid))
+            return real_decide(egraph, cid, op, arity, since)
+
+        def reads(egraph, *args, **kwargs):
+            if not share:
+                egraph._reads_key = None
+            return real_reads(egraph, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(EGraph, "_reads_changed", decide)
+            patch.setattr(EGraph, "changed_reads", reads)
+            egraph = EGraph()
+            egraph.add_term(spec.term)
+            report = Runner(build_ruleset(width=4), iter_limit=15, node_limit=30_000).run(egraph)
+        return _vec_rows(report), decisions
+
+    shared, once = run(share=True)
+    alone, each = run(share=False)
+    assert shared == alone
+    assert once and len(set(once)) == len(once)
+    assert set(each) == set(once)
+    # Three searchers (binop, unop, MAC) each decide every candidate.
+    assert len(each) == 3 * len(once)
+
+
+def test_a_restored_graph_forgets_the_decisions():
+    """A restored graph may reach a tick it had before with other
+    contents, so it decides again: here the same tick once leaves the
+    ``Vec`` class alone and once merges a ``Vec`` node into it."""
+    egraph, vec, _ = _mac_graph("(+ (Get a 0) (* (Get b 0) (Get c 0)))")
+    since = egraph.tick
+    snapshot = egraph.copy()
+
+    def merge_a_vec(graph):
+        other = _add(graph, "(Vec (* (Get b 1) (Get c 1)) 0 0 0)")
+        graph.union(vec, other)
+        graph.rebuild()
+        return graph.find(vec)
+
+    probe = snapshot.copy()
+    assert merge_a_vec(probe) == vec
+    # Fresh symbols take the graph to the same tick without touching
+    # what the searchers read.
+    for index in range(probe.tick - since):
+        _add(egraph, f"fresh{index}")
+    assert egraph.tick == probe.tick
+    assert egraph.changed_reads([vec], "Vec", WIDTH, since) == []
+    egraph.restore_from(snapshot)
+    assert merge_a_vec(egraph) == vec and egraph.tick == probe.tick
+    assert egraph.changed_reads([vec], "Vec", WIDTH, since) == [vec]
+
+
 # ---------------------------------------------------------- boundary cases
 
 WIDTH = 4

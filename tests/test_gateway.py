@@ -331,6 +331,29 @@ def test_cache_only_brownout_serves_hits_and_sheds_misses(tmp_path):
     _run(go())
 
 
+def test_cache_probe_carries_the_requests_spec(tmp_path):
+    """The cache-only probe returns the request's own spec, which the
+    record does not hold."""
+    from repro.service import ArtifactCache
+
+    async def go():
+        cache = ArtifactCache(str(tmp_path), lru_capacity=8)
+        service = CompileService(cache=cache, isolate=False, policy=QUICK)
+        gw = CompileGateway(service)
+        async with gw:
+            await gw.submit(_spec("gw-probe"), FAST)
+            request = _spec("gw-probe")
+            hit = gw._cache_probe(request, FAST)
+            assert hit is not None and hit.diagnostics.cache_hit
+            assert hit.spec is request
+            gw.stats.brownout_level = 3
+            gw.stats.queue_delay_ewma = gw.config.codel_target * 100
+            served = await gw.submit(request, FAST)
+            assert served.spec is request
+
+    _run(go())
+
+
 def test_cache_only_mode_recovers_when_queue_drains():
     """An empty queue feeds zero-delay samples to the EWMA on submit, so
     level 3 cannot latch forever once the overload has passed."""

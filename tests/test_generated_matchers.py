@@ -331,7 +331,7 @@ def test_trajectory_identical_to_reference_paths(monkeypatch, kernel, node_limit
         patch.setattr(pattern_module, "_generated_matcher", lambda pat, gated: None)
         # Rules resolve their matcher once, and the shipped rules are
         # shared between rulesets: patch the resolution too.
-        patch.setattr(SyntacticRewrite, "_matcher", lambda self, polled: None)
+        patch.setattr(SyntacticRewrite, "matcher", lambda self, polled: None)
         patch.setattr(EGraph, "classes_with_op", reference_classes_with_op)
         reference = _saturate(kernel, node_limit)
     if node_limit < 100_000:

@@ -9,6 +9,7 @@ cache left uncorrupted.
 """
 
 import dataclasses
+import importlib
 import time
 
 import pytest
@@ -27,9 +28,11 @@ from repro.errors import (
     WorkerTimeoutError,
     is_resource_failure,
 )
+from repro.egraph.rewrite import CustomRewrite, SyntacticRewrite, rewrite
 from repro.evaluation.common import Budget, SweepError
 from repro.evaluation.table1 import run_table1
 from repro.kernels import make_matmul, table1_kernels
+from repro.rules import _shipped_rules, build_ruleset
 from repro.service import (
     ArtifactCache,
     CompileService,
@@ -37,6 +40,10 @@ from repro.service import (
     RetryPolicy,
     WorkerLimits,
 )
+from repro.service import supervisor as supervisor_module
+
+#: The module, not the ``rewrite`` function ``repro.egraph`` exports.
+rewrite_module = importlib.import_module("repro.egraph.rewrite")
 
 FAST = CompileOptions(time_limit=5.0, node_limit=30_000, iter_limit=25, validate=False)
 #: Near-zero backoff keeps retry tests fast without changing the logic.
@@ -87,6 +94,164 @@ class TestIsolatedCompile:
         assert not is_resource_failure(exc_info.value)
         assert service.stats.compiles == 1  # fail fast, no retry
         assert service.stats.retries == 0
+
+
+def _untimed(result):
+    """``result`` without its spec and with every wall-clock field
+    zeroed, for comparing two compiles of one kernel."""
+    report = result.report
+    report = dataclasses.replace(
+        report,
+        total_time=0.0,
+        iterations=[dataclasses.replace(it, elapsed=0.0) for it in report.iterations],
+        rule_stats={
+            name: dataclasses.replace(stats, search_time=0.0)
+            for name, stats in report.rule_stats.items()
+        },
+    )
+    diagnostics = dataclasses.replace(
+        result.diagnostics,
+        stages=[
+            dataclasses.replace(stage, elapsed=0.0)
+            for stage in result.diagnostics.stages
+        ],
+    )
+    return dataclasses.replace(
+        result, spec=None, compile_time=0.0, report=report, diagnostics=diagnostics
+    )
+
+
+def _no_search(egraph):
+    return []
+
+
+class TestOnePayload:
+    """A worker's result travels as the cache's record payload, without
+    the spec, and comes back carrying the caller's."""
+
+    def test_isolated_result_equals_in_process_but_timings(self, kernel):
+        spec = kernel.spec()
+        reference = compile_spec(spec, FAST)
+        reference.diagnostics.attempts = 1
+        result = _service(isolate=True).compile_spec(spec, FAST)
+        assert result.spec is spec
+        assert _untimed(result) == _untimed(reference)
+
+    def test_unpicklable_extra_rule_still_returns(self, kernel, tmp_path):
+        """A closure in the options does not pickle: the worker strips
+        the extra rules and sends the result, which is cached."""
+        spec = kernel.spec()
+        closure = CustomRewrite("closure-rule", lambda egraph: [])
+        options = dataclasses.replace(FAST, extra_rules=(closure,))
+        cache = ArtifactCache(str(tmp_path / "cache"))
+        service = _service(cache=cache, isolate=True)
+        result = service.compile_spec(spec, options)
+        assert result.spec is spec
+        assert result.options.extra_rules == ()
+        assert "closure-rule" in result.report.rule_stats
+        assert service.stats.worker_crashes == 0
+        assert cache.stats.stores == 1
+        again = service.compile_spec(spec, options)
+        assert again.diagnostics.cache_hit and again.spec is spec
+
+    def test_undecodable_payload_is_a_worker_crash(self, kernel, monkeypatch):
+        """A payload that does not decode counts as a crash, as a lost
+        message does, and the retry recovers."""
+        real = supervisor_module.decode_result
+        calls = []
+
+        def flaky(payload, spec):
+            calls.append(1)
+            if len(calls) == 1:
+                raise ValueError("truncated payload")
+            return real(payload, spec)
+
+        monkeypatch.setattr(supervisor_module, "decode_result", flaky)
+        service = _service(isolate=True)
+        result = service.compile_spec(kernel.spec(), FAST)
+        assert result.diagnostics.attempts == 2
+        assert service.stats.worker_crashes == 1
+        run_and_compare(kernel, result.program)
+
+
+class TestWarmForks:
+    """The supervisor builds the shipped rules and their matchers before
+    it forks, once per configuration, so every fork inherits them."""
+
+    @pytest.fixture
+    def cold(self, monkeypatch):
+        """A supervisor process that has built no rules: fresh shipped
+        rule objects, no warmed configuration, and a log of what the
+        supervisor builds and resolves."""
+        _shipped_rules.cache_clear()
+        monkeypatch.setattr(supervisor_module, "_WARM", set())
+        log = {"built": 0, "resolved": []}
+        real_build = supervisor_module.build_ruleset
+        real_resolve = rewrite_module.matcher_for
+
+        def build(**kwargs):
+            log["built"] += 1
+            return real_build(**kwargs)
+
+        def resolve(pat, polled):
+            log["resolved"].append((pat, polled))
+            return real_resolve(pat, polled)
+
+        monkeypatch.setattr(supervisor_module, "build_ruleset", build)
+        monkeypatch.setattr(rewrite_module, "matcher_for", resolve)
+        yield log
+        _shipped_rules.cache_clear()
+
+    def test_first_fork_warms_once(self, kernel, cold):
+        service = _service(isolate=True)
+        service.compile_spec(kernel.spec(), FAST)
+        syntactic = [
+            rule for rule in build_ruleset(width=FAST.vector_width)
+            if isinstance(rule, SyntacticRewrite)
+        ]
+        assert syntactic
+        # FAST has a time limit, so the worker's searches poll it.
+        assert sorted(cold["resolved"], key=repr) == sorted(
+            ((rule.lhs, True) for rule in syntactic), key=repr
+        )
+        assert cold["built"] == 1
+        resolved = len(cold["resolved"])
+        service.compile_spec(kernel.spec(), dataclasses.replace(FAST, seed=7))
+        assert cold["built"] == 1
+        assert len(cold["resolved"]) == resolved
+
+    def test_each_deadline_variant_warms_once(self, kernel, cold):
+        service = _service(isolate=True)
+        unpolled = dataclasses.replace(FAST, time_limit=None)
+        service.compile_spec(kernel.spec(), unpolled)
+        assert {polled for _, polled in cold["resolved"]} == {False}
+        service.compile_spec(kernel.spec(), FAST)
+        assert {polled for _, polled in cold["resolved"]} == {False, True}
+        assert cold["built"] == 2
+
+    def test_extra_rules_stay_in_the_worker(self, kernel, cold):
+        """An extra rule is neither resolved nor searched in the
+        supervisor; the worker searches it."""
+        searched = []
+
+        def searcher(egraph):
+            searched.append(egraph)
+            return []
+
+        extra = rewrite("extra-double", "(* ?a 2)", "(+ ?a ?a)")
+        spy = CustomRewrite("extra-spy", searcher)
+        options = dataclasses.replace(FAST, extra_rules=(extra, spy))
+        result = _service(isolate=True).compile_spec(kernel.spec(), options)
+        assert extra.lhs not in [pat for pat, _ in cold["resolved"]]
+        assert extra._generated == {}
+        assert searched == []
+        assert {"extra-double", "extra-spy"} <= set(result.report.rule_stats)
+
+    def test_compile_many_threads_warm_once(self, cold):
+        specs = [make_matmul(2, 2, 2).spec(), make_matmul(2, 3, 2).spec()]
+        items = _service(isolate=True, max_workers=2).compile_many(specs, FAST)
+        assert all(item.ok for item in items)
+        assert cold["built"] == 1
 
 
 # ----------------------------------------------------------------------

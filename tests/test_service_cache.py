@@ -5,6 +5,7 @@ flips, stale code versions, races, interrupted writes -- degrades to a
 counted cache *miss*, never a crash and never a wrong result.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -18,12 +19,16 @@ import pytest
 from repro.compiler import CompileOptions, compile_spec
 from repro.kernels import make_matmul
 from repro.service import checkpoint
+from repro.service import CompileService
 from repro.service.cache import (
     ArtifactCache,
     cache_key,
     code_fingerprint,
+    decode_result,
+    encode_result,
     options_fingerprint,
     spec_fingerprint,
+    split_record,
 )
 
 FAST = CompileOptions(time_limit=5.0, node_limit=20_000, iter_limit=15, validate=False)
@@ -138,6 +143,62 @@ class TestRoundTrip:
         )
         assert not cache.put(cache.key_for(spec, FAST), result_bad)
         assert cache.stats.store_failures == 1
+
+
+# ----------------------------------------------------------------------
+# One payload: records carry no spec, readers re-attach theirs
+# ----------------------------------------------------------------------
+
+
+def _record_payload(cache, key):
+    with open(_entry_path(cache, key), "rb") as handle:
+        return pickle.loads(split_record(handle.read())[1])
+
+
+class TestSpecLessRecords:
+    def test_codec_round_trip(self, compiled):
+        spec, result = compiled
+        # Encoding sets the attempts: keep the shared fixture's as they are.
+        result = dataclasses.replace(
+            result, diagnostics=dataclasses.replace(result.diagnostics)
+        )
+        payload = encode_result(result, attempts=2)
+        assert pickle.loads(payload).spec is None
+        assert len(payload) < len(pickle.dumps(result))
+        decoded = decode_result(payload, spec)
+        assert decoded.spec is spec
+        assert decoded.diagnostics.attempts == 2
+        assert decoded.program == result.program
+        assert decoded.program_unoptimized == result.program_unoptimized
+        with pytest.raises(ValueError):
+            decode_result(pickle.dumps({"not": "a result"}), spec)
+
+    @pytest.mark.parametrize("isolate", [True, False], ids=["forked", "in-process"])
+    @pytest.mark.parametrize("lru", [0, 8], ids=["disk", "lru"])
+    def test_readers_with_the_request_get_its_spec(self, tmp_path, isolate, lru):
+        spec = make_matmul(2, 2, 2).spec()
+        cache = ArtifactCache(str(tmp_path / "cache"), lru_capacity=lru)
+        service = CompileService(cache=cache, isolate=isolate)
+        first = service.compile_spec(spec, FAST)
+        assert first.spec is spec
+        key = cache.key_for(spec, FAST)
+        stored = _record_payload(cache, key)
+        assert stored.spec is None
+        assert stored.diagnostics.attempts == 1
+        assert stored.program_unoptimized == first.program_unoptimized
+
+        request = make_matmul(2, 2, 2).spec()  # an equal, distinct object
+        hit = service.compile_spec(request, FAST)
+        assert hit.diagnostics.cache_hit and hit.spec is request
+        assert cache.get(key, request).spec is request
+        assert cache.lookup(request, FAST).spec is request
+        assert cache.get(key).spec is None
+        # A fresh reader decodes the record from disk.
+        fresh = ArtifactCache(cache.root, lru_capacity=lru)
+        assert fresh.lookup(request, FAST).spec is request
+        assert fresh.get(key, request).spec == spec
+        if lru:
+            assert cache.lru.get(key).spec is None
 
 
 # ----------------------------------------------------------------------
