@@ -91,24 +91,13 @@ def _cmd_run(args) -> int:
 
 
 def _make_service(args):
-    from .service import ArtifactCache, CompileService, FaultInjection
+    from .service import ArtifactCache, CompileService
 
-    inject_for = {}
-    for entry in getattr(args, "inject", None) or ():
-        # KERNEL:MODE[:ATTEMPTS] -- e.g. "matmul-2x2-2x2:sigkill:0,1"
-        parts = entry.split(":")
-        if len(parts) not in (2, 3):
-            raise SystemExit(f"bad --inject spec {entry!r} (KERNEL:MODE[:ATTEMPTS])")
-        attempts = (
-            tuple(int(a) for a in parts[2].split(",")) if len(parts) == 3 else (0,)
-        )
-        inject_for[parts[0]] = FaultInjection(parts[1], attempts)
     cache = ArtifactCache(args.cache_dir) if args.cache_dir else None
     return CompileService(
         cache=cache,
         isolate=not getattr(args, "no_isolate", False),
         max_workers=getattr(args, "jobs", None),
-        inject_for=inject_for,
     )
 
 
@@ -462,13 +451,6 @@ def main(argv=None) -> int:
         "--no-isolate",
         action="store_true",
         help="compile in-process (keeps cache/retries, drops sandboxing)",
-    )
-    p_serve.add_argument(
-        "--inject",
-        action="append",
-        metavar="KERNEL:MODE[:ATTEMPTS]",
-        help="fault injection for robustness drills, e.g. "
-        "'matmul-2x2-2x2:sigkill:0'",
     )
     p_serve.add_argument(
         "--bench",

@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Dict, List, Set, Tuple
 
 from ..dsl.ast import Term
+from ..errors import LoweringError
 from ..frontend.lift import Spec
 from . import vir
 from .vir import Program, RegAllocator
@@ -35,11 +36,6 @@ __all__ = ["LoweringError", "lower_term", "lower_spec_program", "OUT"]
 
 #: Name of the combined output buffer every lowered kernel writes.
 OUT = "out"
-
-
-class LoweringError(RuntimeError):
-    """Raised when a term cannot be lowered (malformed program or an
-    uninterpreted call with no target intrinsic)."""
 
 
 _VBIN = {"VecAdd": "+", "VecMinus": "-", "VecMul": "*", "VecDiv": "/"}

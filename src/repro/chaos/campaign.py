@@ -249,6 +249,17 @@ def default_matrix() -> List[CampaignCell]:
             (FaultSpec("worker.result", "drop"),), isolate=True,
         ),
         CampaignCell(
+            # The first attempt's worker dies before compiling; the
+            # retry's worker recovers.
+            "worker.start", "sigkill",
+            (FaultSpec("worker.start", "sigkill", attempts=(0,)),),
+            isolate=True,
+        ),
+        CampaignCell(
+            # In process a logic error at worker start fails fast.
+            "worker.start", "raise", (FaultSpec("worker.start", "raise"),),
+        ),
+        CampaignCell(
             "runner.iteration", "raise",
             (FaultSpec("runner.iteration", "raise", nth=2),),
         ),
@@ -316,6 +327,7 @@ def smoke_matrix() -> List[CampaignCell]:
         ("cache.read", "corrupt"),
         ("cache.write", "enospc"),
         ("worker.result", "drop"),
+        ("worker.start", "raise"),
         ("runner.iteration", "raise"),
         ("runner.iteration", "sigkill"),
         ("runner.iteration", "sleep"),

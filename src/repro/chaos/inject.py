@@ -24,15 +24,18 @@ trustworthy as the faults it has actually seen.  This module turns
 
 * **Fault actions** cover the real blast radii: raise a typed
   :class:`repro.errors.InjectedFaultError`, SIGKILL the current
-  process, sleep past a deadline, bit-flip or truncate a byte payload,
-  fake ``ENOSPC``/``EIO`` on IO, and trip seam-interpreted flags (drop
-  a worker result, trip the memory watchdog).
+  process, exhaust its address-space limit, sleep past a deadline,
+  bit-flip or truncate a byte payload, fake ``ENOSPC``/``EIO`` on IO,
+  and trip seam-interpreted flags (drop a worker result, trip the
+  memory watchdog).
 
 The plan is installed process-globally (:func:`install_plan` /
 :func:`active_plan`); the compile service forwards the ambient plan to
 its sandboxed workers on the :class:`~repro.service.worker.CompileTask`
 so worker-side seams fire inside the real subprocess, exercising the
 real kill/retry/resume machinery rather than monkeypatched stand-ins.
+It is the only way to inject a fault: the ``worker.start`` seam
+(:func:`chaos_worker_start`) targets one kernel's worker attempts.
 """
 
 from __future__ import annotations
@@ -40,13 +43,14 @@ from __future__ import annotations
 import errno
 import fnmatch
 import os
+import resource
 import signal
 import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..errors import InjectedFaultError
+from ..errors import InjectedFaultError, WorkerCrashError
 from ..seeding import stable_seed
 
 __all__ = [
@@ -65,6 +69,7 @@ __all__ = [
     "set_attempt",
     "chaos_point",
     "chaos_flag",
+    "chaos_worker_start",
 ]
 
 
@@ -100,6 +105,10 @@ SITES: Dict[str, SiteInfo] = {
         SiteInfo("worker.result", "flag", "parent",
                  "supervisor received a worker's result message "
                  "(firing drops it, simulating a lost pipe)"),
+        SiteInfo("worker.start", "point", "worker",
+                 "worker about to compile, hit per kernel and attempt "
+                 "(in the supervisor's thread when it compiles in "
+                 "process)"),
         SiteInfo("runner.iteration", "point", "worker",
                  "top of each equality-saturation iteration"),
         SiteInfo("runner.memory", "flag", "worker",
@@ -135,7 +144,7 @@ PAYLOAD_ACTIONS = ("corrupt", "truncate")
 #: effect; the names document intent in campaign reports).
 FLAG_ACTIONS = ("drop", "spawnfail", "memtrip", "flag")
 #: Generic actions every ``point`` seam executes directly.
-RAISE_ACTIONS = ("raise", "oserror", "enospc", "sigkill", "sleep")
+RAISE_ACTIONS = ("raise", "oserror", "enospc", "sigkill", "sleep", "oom")
 ALL_ACTIONS = RAISE_ACTIONS + PAYLOAD_ACTIONS + FLAG_ACTIONS
 
 
@@ -149,7 +158,9 @@ class FaultSpec:
     ``attempts`` optionally restricts firing to specific 0-based
     service retry attempts -- "crash attempt 0, succeed on the retry"
     is ``attempts=(0,)``.  ``max_fires`` bounds total firings
-    (``None`` = unbounded).
+    (``None`` = unbounded), so "fire on every listed attempt" is
+    ``probability=1.0, max_fires=None``.  ``kernel`` restricts a
+    ``worker.start`` spec to that kernel's compiles.
     """
 
     site: str
@@ -160,6 +171,7 @@ class FaultSpec:
     max_fires: Optional[int] = 1
     #: Sleep duration of the ``sleep`` action, seconds.
     seconds: float = 0.25
+    kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.action not in ALL_ACTIONS:
@@ -173,6 +185,10 @@ class FaultSpec:
             raise ValueError("nth is 1-based and must be >= 1")
         if self.probability is not None and not 0.0 <= self.probability <= 1.0:
             raise ValueError("probability must be in [0, 1]")
+        if self.kernel is not None and self.site != "worker.start":
+            raise ValueError(
+                f"only worker.start targets a kernel, not {self.site!r}"
+            )
 
     def matches_site(self, site: str) -> bool:
         if self.site == site:
@@ -231,19 +247,32 @@ class FaultPlan:
 
     # ------------------------------------------------------------------
 
-    def hits(self, site: str) -> int:
-        return self._hits.get(site, 0)
+    def hits(self, site: str, kernel: Optional[str] = None) -> int:
+        return self._hits.get(site if kernel is None else f"{site}@{kernel}", 0)
 
-    def fire(self, site: str) -> Optional[FaultSpec]:
+    def fire(
+        self,
+        site: str,
+        attempt: Optional[int] = None,
+        kernel: Optional[str] = None,
+    ) -> Optional[FaultSpec]:
         """Record one hit of ``site``; return the spec that fires on
-        this hit, if any (first matching spec wins)."""
+        this hit, if any (first matching spec wins).  ``attempt``
+        overrides the ambient :attr:`attempt`.  With ``kernel``, hits
+        are counted per kernel, and a spec aimed at another kernel
+        never fires."""
+        if attempt is None:
+            attempt = self.attempt
+        counter = site if kernel is None else f"{site}@{kernel}"
         with self._lock:
-            hit = self._hits.get(site, 0) + 1
-            self._hits[site] = hit
+            hit = self._hits.get(counter, 0) + 1
+            self._hits[counter] = hit
             for index, spec in enumerate(self.specs):
                 if not spec.matches_site(site):
                     continue
-                if spec.attempts is not None and self.attempt not in spec.attempts:
+                if spec.kernel is not None and spec.kernel != kernel:
+                    continue
+                if spec.attempts is not None and attempt not in spec.attempts:
                     continue
                 fires = self._fires.get(index, 0)
                 if spec.max_fires is not None and fires >= spec.max_fires:
@@ -252,7 +281,7 @@ class FaultPlan:
                     if hit != spec.nth:
                         continue
                 elif spec.probability is not None:
-                    draw = stable_seed(self.seed, "chaos", site, hit) / float(
+                    draw = stable_seed(self.seed, "chaos", counter, hit) / float(
                         1 << 63
                     )
                     if draw >= spec.probability:
@@ -266,7 +295,8 @@ class FaultPlan:
                         "site": site,
                         "action": spec.action,
                         "hit": hit,
-                        "attempt": self.attempt,
+                        "attempt": attempt,
+                        "kernel": kernel,
                     }
                 )
                 return spec
@@ -351,6 +381,28 @@ def chaos_flag(site: str) -> bool:
     return plan.fire(site) is not None
 
 
+def chaos_worker_start(kernel: str, attempt: int, isolated: bool = True) -> None:
+    """The ``worker.start`` seam, hit once per worker attempt before
+    the compile.  Hits count per kernel and the attempt is explicit,
+    since ``compile_many``'s threads share the plan.  In process the
+    seam runs in the supervisor's thread, where ``sigkill`` and ``oom``
+    raise :class:`~repro.errors.WorkerCrashError`: how a dead worker
+    looks to the supervisor."""
+    plan = _PLAN
+    if plan is None:
+        return
+    spec = plan.fire("worker.start", attempt=attempt, kernel=kernel)
+    if spec is None:
+        return
+    if not isolated and spec.action in ("sigkill", "oom"):
+        _announce("worker.start", spec.action)
+        raise WorkerCrashError(
+            f"injected {spec.action} at worker.start (in process)",
+            kernel=kernel,
+        )
+    _execute(spec, "worker.start", None)
+
+
 def _announce(site: str, action: str) -> None:
     """Stamp the fault on stderr before executing it: real crashes
     leave a trace there, and the supervisor's stderr-tail capture (and
@@ -380,6 +432,14 @@ def _execute(
     if action == "sleep":
         time.sleep(spec.seconds)
         return payload
+    if action == "oom":
+        # Only an address-space limit stops the allocation; without one
+        # it would take the host's memory, so fail as it would at once.
+        if resource.getrlimit(resource.RLIMIT_AS)[0] == resource.RLIM_INFINITY:
+            raise MemoryError(f"injected oom at {site} (no RLIMIT_AS)")
+        hog = []
+        while True:  # ends in MemoryError at the limit
+            hog.append(bytearray(16 * 1024 * 1024))
     if action == "corrupt":
         if payload:
             index = len(payload) // 2

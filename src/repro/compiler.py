@@ -28,9 +28,10 @@ partially saturated graph" (Section 5.5) -- is generalized here into a
 
 Every rung is recorded in :class:`repro.errors.CompileDiagnostics`;
 downstream consumers must check ``CompileResult.degraded`` before
-trusting a result.  Set ``CompileOptions.fault_tolerance=False`` to get
-the staged exceptions (:class:`repro.errors.CompileError` subclasses)
-instead of degradation.
+trusting a result.  The ladder has no off switch: a compile raises a
+staged :class:`repro.errors.CompileError` only where there is nothing
+to degrade to, such as an unknown ``phases`` mode, an expired deadline
+or a spec term that does not lower.
 """
 
 from __future__ import annotations
@@ -59,11 +60,9 @@ from .errors import (
     CompileDiagnostics,
     CompileError,
     DeadlineExceededError,
-    ExtractionError,
     LiftError,
     LoweringError,
     SaturationError,
-    ValidationError,
 )
 from .frontend.lift import Shape, Spec, lift
 from .phases import PhasePlan, PlanReport, default_plan, execute_plan
@@ -120,9 +119,6 @@ class CompileOptions:
     #: the overheads of vector packing" (Section 5.6).  Off by default
     #: so the main evaluation matches the paper's compiler.
     select_best_candidate: bool = False
-    #: Degrade gracefully on stage failures (the degradation ladder in
-    #: the module docstring) instead of raising staged exceptions.
-    fault_tolerance: bool = True
     #: Iterations between persistent saturation checkpoints (see
     #: ``checkpoint_dir``).  A stride > 1 amortizes the write; a resume
     #: then redoes at most ``checkpoint_stride - 1`` iterations.
@@ -327,10 +323,10 @@ def compile_spec(spec: Spec, options: Optional[CompileOptions] = None) -> Compil
     When ``options.observability`` is enabled the whole pipeline runs
     under a root ``compile`` span, the flight recorder captures the
     saturation loop, and the collected data is attached to
-    ``CompileResult.observability`` (or, when the compile raises with
-    fault tolerance off, to ``CompileError.partial['observability']``
-    and the configured post-mortem directory) -- a failed compile still
-    leaves a black box to read.
+    ``CompileResult.observability`` (or, when the compile raises, to
+    ``CompileError.partial['observability']`` and the configured
+    post-mortem directory) -- a failed compile still leaves a black box
+    to read.
     """
     with _COLLECTOR_PAUSE:
         return _compile_spec(spec, options or CompileOptions())
@@ -444,8 +440,8 @@ def _export_failure(
     exc: BaseException,
 ) -> None:
     """Dump the flight recorder / trace for a compile that *raised*
-    (fault tolerance off, or an unloweable spec): the post-mortem must
-    survive the exception."""
+    (for example, an unloweable spec): the post-mortem must survive the
+    exception."""
     session.record_event(
         "compile_crashed", error=f"{type(exc).__name__}: {exc}"
     )
@@ -627,17 +623,10 @@ def _saturate(
         time_limit=options.time_limit,
         match_limit=options.match_limit,
         checkpoint_stride=options.checkpoint_stride,
-        catch_errors=True,
         persist=persist,
     )
     report = runner.run(egraph)
     if report.errored:
-        if not options.fault_tolerance:
-            raise SaturationError(
-                report.error or "saturation crashed",
-                kernel=spec.name,
-                partial={"report": report, "egraph": egraph, "root": root},
-            )
         diag.degrade(
             "saturation",
             f"rule {report.failed_rule or '?'} crashed: {report.error}",
@@ -676,12 +665,6 @@ def _saturate_phased(
             execution.report,
             execution.plan_report,
         )
-    if not options.fault_tolerance:
-        raise SaturationError(
-            execution.failure,
-            kernel=spec.name,
-            partial={"plan_report": execution.plan_report},
-        )
     if execution.fallback_nodes is not None:
         diag.degrade(
             "saturation",
@@ -717,10 +700,6 @@ def _extract(
         chaos_point("extract.start")
         extraction = Extractor(egraph, options.cost_model()).extract(root)
     except Exception as exc:
-        if not options.fault_tolerance:
-            raise ExtractionError(
-                f"vector-cost extraction failed: {exc}", kernel=spec.name
-            ) from exc
         diag.degrade(
             "extraction",
             f"vector-cost extraction failed: {exc}",
@@ -741,10 +720,6 @@ def _extract(
         try:
             extraction = _pick_candidate(egraph, root, extraction, spec, options, diag)
         except Exception as exc:
-            if not options.fault_tolerance:
-                raise ExtractionError(
-                    f"candidate selection failed: {exc}", kernel=spec.name
-                ) from exc
             diag.degrade(
                 "extraction",
                 f"candidate selection failed: {exc}",
@@ -774,12 +749,6 @@ def _lower(
         unoptimized, program = attempt(extraction.term)
         return extraction, unoptimized, program
     except Exception as exc:
-        if not options.fault_tolerance:
-            raise LoweringError(
-                f"lowering the extracted term failed: {exc}",
-                kernel=spec.name,
-                partial={"term": extraction.term},
-            ) from exc
         diag.degrade(
             "lowering",
             f"lowering the vector-cost extraction failed: {exc}",
@@ -842,11 +811,6 @@ def _validate(
             seed=options.seed + 1,
         )
     except Exception as exc:
-        if not options.fault_tolerance:
-            raise ValidationError(
-                f"validation crashed twice: {first_error}; retry: {exc}",
-                kernel=spec.name,
-            ) from exc
         diag.unvalidated = True
         diag.degrade(
             "validation",

@@ -14,12 +14,6 @@ the matched class (paper Section 3.3).  We mirror that split:
   expressed as a single pattern without enumerating every permutation
   of zero lanes.
 
-Rules may carry a *guard* predicate over the substitution, used for
-conditional rewrites (e.g. ``(/ ?a ?a) => 1`` only when ``?a`` is known
-non-zero is *not* sound in general, so we simply do not ship that rule;
-guards are still useful for things like "only fire on vectors of
-machine width").
-
 Rules additionally carry a frozenset of *tags* ("scalar", "vectorize",
 "mac", ...).  Tags are how the phase planner (``repro.phases``) names
 rule subsets declaratively: a phase lists the tags it wants and the
@@ -167,8 +161,7 @@ class Rewrite:
 class SyntacticRewrite(Rewrite):
     """``lhs => rhs`` where both sides are patterns.
 
-    Every variable on the right must be bound on the left.  An optional
-    ``guard(egraph, subst)`` can veto individual matches.
+    Every variable on the right must be bound on the left.
     """
 
     def __init__(
@@ -176,13 +169,11 @@ class SyntacticRewrite(Rewrite):
         name: str,
         lhs: Union[str, Pattern],
         rhs: Union[str, Pattern],
-        guard: Optional[Callable[[EGraph, Subst], bool]] = None,
         tags: Iterable[str] = (),
     ) -> None:
         super().__init__(name, tags)
         self.lhs = pattern(lhs)
         self.rhs = pattern(rhs)
-        self.guard = guard
         missing = set(pattern_vars(self.rhs)) - set(pattern_vars(self.lhs))
         if missing:
             raise ValueError(
@@ -224,8 +215,6 @@ class SyntacticRewrite(Rewrite):
         )
         key_vars = self._key_vars
         for eclass_id, subst in found:
-            if self.guard is not None and not self.guard(egraph, subst):
-                continue
             rhs = self.rhs
 
             def build(eg: EGraph, _subst: Subst = subst, _rhs: Pattern = rhs) -> int:
@@ -312,11 +301,10 @@ def rewrite(
     name: str,
     lhs: Union[str, Pattern],
     rhs: Union[str, Pattern],
-    guard: Optional[Callable[[EGraph, Subst], bool]] = None,
     tags: Iterable[str] = (),
 ) -> SyntacticRewrite:
     """Convenience constructor for a one-directional syntactic rule."""
-    return SyntacticRewrite(name, lhs, rhs, guard, tags=tags)
+    return SyntacticRewrite(name, lhs, rhs, tags=tags)
 
 
 def birewrite(

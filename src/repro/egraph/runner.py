@@ -156,11 +156,10 @@ class Runner:
     ``scheduler`` instance overrides both (pass one to read its stats
     after the run, or to share ban state across runs).
 
-    Fault tolerance: by default (``catch_errors=True``) an exception
-    raised by a rule's searcher or applier stops the run with
-    ``StopReason.ERROR`` instead of propagating; the e-graph is rebuilt
-    in place into a consistent state, so extraction on the surviving
-    graph is always sound.
+    Fault tolerance: an exception raised by a rule's searcher or applier
+    stops the run with ``StopReason.ERROR`` instead of propagating; the
+    e-graph is rebuilt in place into a consistent state, so extraction
+    on the surviving graph is always sound.
 
     Watchdogs: the wall-clock deadline is checked between rules, *inside*
     rule search (cooperatively, via :class:`Deadline`), and inside the
@@ -186,7 +185,6 @@ class Runner:
         match_limit: Optional[int] = None,
         scheduler: Optional[BackoffScheduler] = None,
         memory_limit_bytes: Optional[int] = None,
-        catch_errors: bool = True,
         checkpoint_stride: int = 1,
         incremental: bool = True,
         dedup_matches: bool = True,
@@ -203,7 +201,6 @@ class Runner:
         self.match_limit = match_limit
         self.scheduler = scheduler
         self.memory_limit_bytes = memory_limit_bytes
-        self.catch_errors = catch_errors
         self.checkpoint_stride = checkpoint_stride
         self.incremental = incremental
         self.dedup_matches = dedup_matches
@@ -271,9 +268,6 @@ class Runner:
             )
         except Exception as exc:  # noqa: BLE001 - fault-tolerance boundary
             self._recover(egraph, report, exc)
-            if not self.catch_errors:
-                self._finish(report, egraph, start, session)
-                raise
 
         self._finish(report, egraph, start, session)
         if self.persist is not None:
@@ -347,8 +341,6 @@ class Runner:
                 self._emit(session, "rule_crash", phase="search",
                            rule=report.failed_rule, error=report.error,
                            iteration=index)
-                if not self.catch_errors:
-                    raise
                 break
             if deadline.expired():
                 report.stop_reason = StopReason.TIME_LIMIT
@@ -405,8 +397,6 @@ class Runner:
                            rule=report.failed_rule, error=report.error,
                            iteration=index)
                 egraph.rebuild()
-                if not self.catch_errors:
-                    raise
                 break
             egraph.rebuild()
 

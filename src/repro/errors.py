@@ -3,12 +3,13 @@
 The paper's central robustness claim is that a timed-out saturation is
 still useful: "extraction operates on the partially saturated graph"
 (Section 5.5).  This module generalizes that stance from the clean
-timeout path to *every* failure mode of the pipeline.  Each stage of
-``compile_spec`` -- lifting, saturation, extraction, lowering,
-validation -- gets a dedicated exception type that carries the stage
-name, the kernel name, and whatever partial artifacts existed when the
-stage failed, so callers (the evaluation sweep, a service wrapping the
-compiler) can degrade instead of dying.
+timeout path to *every* failure mode of the pipeline: extraction and
+validation always degrade, and the stages that can fail with nothing
+to degrade to -- lifting, saturation set-up, lowering -- each get a
+dedicated exception type that carries the stage name, the kernel name,
+and whatever partial artifacts existed when the stage failed, so
+callers (the evaluation sweep, a service wrapping the compiler) can
+degrade instead of dying.
 
 :class:`CompileDiagnostics` is the per-compilation flight recorder: it
 accumulates stage timings, retry counts, swallowed errors, and the
@@ -26,9 +27,7 @@ __all__ = [
     "CompileError",
     "LiftError",
     "SaturationError",
-    "ExtractionError",
     "LoweringError",
-    "ValidationError",
     "WorkerCrashError",
     "WorkerTimeoutError",
     "CircuitOpenError",
@@ -40,13 +39,8 @@ __all__ = [
     "Degradation",
     "StageRecord",
     "CompileDiagnostics",
-    "STAGES",
     "is_resource_failure",
 ]
-
-#: Pipeline stages in execution order (Figure 1 of the paper, plus the
-#: candidate-selection sub-stage the compiler adds).
-STAGES = ("lift", "saturation", "extraction", "lowering", "validation")
 
 
 def _obs_event(kind: str, **details) -> None:
@@ -62,9 +56,9 @@ class CompileError(Exception):
 
     ``stage`` names the pipeline stage that failed, ``kernel`` the spec
     being compiled, and ``partial`` holds whatever artifacts the stage
-    had produced before failing (e.g. the partially saturated e-graph,
-    a half-validated term), so fault-tolerant callers can resume from
-    them instead of recomputing.
+    had produced before failing (e.g. the term that did not lower, a
+    worker's stderr tail, the compile's observability export), so
+    callers can inspect them instead of recomputing.
     """
 
     stage: str = "compile"
@@ -93,31 +87,21 @@ class LiftError(CompileError):
 
 
 class SaturationError(CompileError):
-    """The rewrite loop crashed (a rule's searcher or applier raised).
-    ``partial`` carries the ``report`` of the run up to the failure;
-    the e-graph itself is left in its last consistent rebuilt state."""
+    """Saturation could not run: an unknown ``phases`` mode, a ruleset
+    or e-graph that could not be built, or a phase executor that
+    raised.  A rule that crashes mid-run is not one of these: the
+    runner stops and extraction proceeds from the last consistent
+    e-graph."""
 
     stage = "saturation"
 
 
-class ExtractionError(CompileError):
-    """No term could be extracted under the requested cost model."""
-
-    stage = "extraction"
-
-
 class LoweringError(CompileError):
-    """The extracted DSL term could not be lowered to vector IR (or the
-    lowered kernel failed LVN / code generation)."""
+    """A DSL term could not be lowered to vector IR: the backend raises
+    it for a malformed program or an uninterpreted call with no target
+    intrinsic, and the compiler when not even the spec term lowers."""
 
     stage = "lowering"
-
-
-class ValidationError(CompileError):
-    """Translation validation *crashed* (as opposed to returning a
-    negative verdict, which is an ordinary ``ValidationResult``)."""
-
-    stage = "validation"
 
 
 class WorkerCrashError(CompileError):
@@ -280,8 +264,8 @@ class RateLimitError(OverloadError):
 
 _STAGE_ERRORS = {
     cls.stage: cls
-    for cls in (LiftError, SaturationError, ExtractionError, LoweringError,
-                ValidationError, DeadlineExceededError)
+    for cls in (LiftError, SaturationError, LoweringError,
+                DeadlineExceededError)
 }
 
 

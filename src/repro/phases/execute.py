@@ -302,9 +302,8 @@ def execute_plan(
     """Run ``plan`` over ``spec`` and return the combined outcome.
 
     Never raises for a crashed rule: that comes back with
-    ``failed=True`` plus the last successful boundary's node list, and
-    the compiler decides whether to degrade or raise based on
-    ``options.fault_tolerance``.
+    ``failed=True`` plus the last successful boundary's node list, from
+    which the compiler degrades.
     """
     base_cost = options.cost_model()
     fingerprint = plan.fingerprint()
@@ -522,7 +521,6 @@ def _run_phase(
             match_limit=options.match_limit,
             scheduler=scheduler,
             checkpoint_stride=options.checkpoint_stride,
-            catch_errors=True,
             persist=persist,
         )
         run = runner.run(egraph)

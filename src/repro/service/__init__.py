@@ -12,8 +12,9 @@ compile server -- actually needs:
   ``kill -9`` mid-write can never corrupt an entry and reruns are
   warm-start.
 * :mod:`repro.service.worker` -- the sandboxed subprocess body: applies
-  ``resource`` rlimits (address space, CPU) before compiling, so an
-  OOM or a runaway e-graph in one kernel dies alone.
+  ``resource`` rlimits (CPU, and address space when the caller sets
+  one) before compiling, so an OOM or a runaway e-graph in one kernel
+  dies alone.
 * :mod:`repro.service.supervisor` -- :class:`CompileService`: a
   supervisor + worker pool with hard kill-timeouts, jittered
   exponential-backoff retries at shrinking budgets (reusing the
@@ -79,7 +80,7 @@ from .supervisor import (
     RetryPolicy,
     ServiceStats,
 )
-from .worker import FaultInjection, WorkerLimits
+from .worker import WorkerLimits
 
 __all__ = [
     "ArtifactCache",
@@ -108,6 +109,5 @@ __all__ = [
     "CompileService",
     "RetryPolicy",
     "ServiceStats",
-    "FaultInjection",
     "WorkerLimits",
 ]

@@ -45,7 +45,14 @@ from dataclasses import dataclass
 from multiprocessing.connection import wait as _mp_wait
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..chaos.inject import chaos_flag, current_plan, set_attempt
+from ..chaos.inject import (
+    FaultPlan,
+    active_plan,
+    chaos_flag,
+    chaos_worker_start,
+    current_plan,
+    set_attempt,
+)
 from ..compiler import CompileOptions, CompileResult, compile_spec
 from ..egraph.rewrite import SyntacticRewrite
 from ..errors import (
@@ -63,7 +70,7 @@ from ..observability import event as _obs_event, span as _obs_span
 from ..rules import build_ruleset
 from ..seeding import stable_rng
 from .cache import ArtifactCache, decode_result
-from .worker import CompileTask, FaultInjection, WorkerLimits, worker_main
+from .worker import CompileTask, WorkerLimits, worker_main
 
 __all__ = [
     "RetryPolicy",
@@ -259,7 +266,6 @@ class CompileService:
         max_workers: Optional[int] = None,
         isolate: bool = True,
         seed: int = 0,
-        inject_for: Optional[Dict[str, FaultInjection]] = None,
         checkpoint_dir: Optional[str] = None,
     ) -> None:
         self.cache = cache
@@ -268,9 +274,6 @@ class CompileService:
         self.max_workers = max_workers or min(4, os.cpu_count() or 1)
         self.isolate = isolate
         self.seed = seed
-        #: Test/CLI fault-injection surface: kernel name -> injection,
-        #: delivered to that kernel's workers (see service/worker.py).
-        self.inject_for = dict(inject_for or {})
         #: When set, every compile runs with persistent saturation
         #: checkpoints under this directory (unless its options already
         #: name one), so a retry after a worker death resumes from the
@@ -308,14 +311,19 @@ class CompileService:
         self,
         spec: Spec,
         options: Optional[CompileOptions] = None,
-        inject: Optional[FaultInjection] = None,
+        plan: Optional[FaultPlan] = None,
     ) -> CompileResult:
         """Compile one spec with caching, isolation, and retries.
 
         Raises the final attempt's (reconstructed) staged error when
         every attempt failed, or :class:`CircuitOpenError` when the
-        kernel's breaker is already open.
+        kernel's breaker is already open.  A chaos ``plan`` is installed
+        for this call only, as :class:`repro.chaos.active_plan` does;
+        ``None`` leaves the ambient plan in place.
         """
+        if plan is not None:
+            with active_plan(plan):
+                return self.compile_spec(spec, options)
         if self._draining.is_set():
             raise ShutdownError("service is draining", kernel=spec.name)
         options = options or CompileOptions()
@@ -323,8 +331,6 @@ class CompileService:
             options = dataclasses.replace(
                 options, checkpoint_dir=self.checkpoint_dir
             )
-        if inject is None:
-            inject = self.inject_for.get(spec.name)
 
         with _obs_span(
             "service.compile", kernel=spec.name, isolate=self.isolate
@@ -421,9 +427,7 @@ class CompileService:
                     "service.attempt", kernel=spec.name, attempt=attempt
                 ) as att_span:
                     try:
-                        result, payload = self._run_once(
-                            spec, shrunk, attempt, inject
-                        )
+                        result, payload = self._run_once(spec, shrunk, attempt)
                     except Exception as exc:  # noqa: BLE001 - classified below
                         if self._draining.is_set():
                             # The drain killed (or preempted) this
@@ -636,7 +640,6 @@ class CompileService:
         spec: Spec,
         options: CompileOptions,
         attempt: int,
-        inject: Optional[FaultInjection],
     ) -> Tuple[CompileResult, Optional[bytes]]:
         """One attempt's result, carrying ``spec``, and its cache record
         payload when a worker sent one (``None`` in process)."""
@@ -644,21 +647,15 @@ class CompileService:
         # "fail only the first attempt") match against this.
         set_attempt(attempt)
         if not self.isolate:
-            if inject is not None and inject.fires_on(attempt):
-                if inject.mode in ("sigkill", "hang", "oom"):
-                    raise WorkerCrashError(
-                        f"simulated in-process {inject.mode}", kernel=spec.name
-                    )
-                inject.trigger()
+            chaos_worker_start(spec.name, attempt, isolated=False)
             return compile_spec(spec, options), None
-        return self._run_isolated(spec, options, attempt, inject)
+        return self._run_isolated(spec, options, attempt)
 
     def _run_isolated(
         self,
         spec: Spec,
         options: CompileOptions,
         attempt: int,
-        inject: Optional[FaultInjection],
     ) -> Tuple[CompileResult, bytes]:
         _warm(options)
         limits = self.limits.derive(options.time_limit)
@@ -678,7 +675,6 @@ class CompileService:
             options=options,
             limits=limits,
             attempt=attempt,
-            inject=inject,
             stderr_path=stderr_path,
             # The chaos plan crosses the fork so worker-side seams
             # (runner.iteration, checkpoint.write, ...) fire inside the

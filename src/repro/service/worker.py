@@ -15,11 +15,11 @@ the limits applied here make the common blast radii self-terminating:
   its CPU budget -- the backstop for busy-loops that never check the
   cooperative deadline.
 
-The module also carries the **fault-injection surface** used by the
-robustness tests and the ``--inject`` CLI flag: a
-:class:`FaultInjection` travels with the task and fires *inside the
-worker*, so tests exercise the real kill/retry/cache paths rather than
-monkeypatched stand-ins.
+``RLIMIT_AS`` is set only when the caller gives
+``WorkerLimits.address_space_bytes``.  A chaos plan travels with the
+task, and its ``worker.start`` seam fires *inside the worker* before
+the compile, so faults exercise the real kill/retry/cache paths rather
+than monkeypatched stand-ins.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-import signal
-import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -37,9 +35,10 @@ try:  # pragma: no cover - resource is POSIX-only
 except ImportError:  # pragma: no cover
     resource = None  # type: ignore[assignment]
 
+from ..chaos.inject import chaos_worker_start, install_plan
 from .cache import encode_result
 
-__all__ = ["WorkerLimits", "FaultInjection", "CompileTask", "worker_main"]
+__all__ = ["WorkerLimits", "CompileTask", "worker_main"]
 
 
 @dataclass(frozen=True)
@@ -72,46 +71,6 @@ class WorkerLimits:
 
 
 @dataclass(frozen=True)
-class FaultInjection:
-    """Deterministic fault injected inside the worker.
-
-    ``mode`` is one of ``sigkill`` (the process SIGKILLs itself
-    mid-compile), ``oom`` (allocates until the rlimit / MemoryError),
-    ``hang`` (spins past the kill-timeout), ``raise`` (throws a plain
-    RuntimeError).  ``attempts`` lists the 0-based attempt indices the
-    fault fires on, so "crash once then succeed" is expressible.
-    """
-
-    mode: str
-    attempts: Tuple[int, ...] = (0,)
-
-    def fires_on(self, attempt: int) -> bool:
-        return attempt in self.attempts
-
-    def trigger(self) -> None:
-        import sys
-
-        # Announce the fault on stderr first: real crashes (glibc abort
-        # messages, OOM-killer notes, assertion failures) leave a trace
-        # there, and the supervisor's stderr-tail capture is tested
-        # against exactly this behaviour.
-        print(f"injected worker fault: {self.mode}", file=sys.stderr, flush=True)
-        if self.mode == "sigkill":
-            os.kill(os.getpid(), signal.SIGKILL)
-        elif self.mode == "oom":
-            hog = []
-            while True:  # dies via rlimit or MemoryError
-                hog.append(bytearray(16 * 1024 * 1024))
-        elif self.mode == "hang":
-            while True:
-                time.sleep(0.05)
-        elif self.mode == "raise":
-            raise RuntimeError("injected worker fault")
-        else:
-            raise ValueError(f"unknown fault-injection mode {self.mode!r}")
-
-
-@dataclass(frozen=True)
 class CompileTask:
     """Everything a worker needs: picklable under any start method."""
 
@@ -119,7 +78,6 @@ class CompileTask:
     options: object  # repro.compiler.CompileOptions
     limits: WorkerLimits
     attempt: int = 0
-    inject: Optional[FaultInjection] = None
     #: When set, the worker dup2s fd 2 onto this file so the supervisor
     #: can read the stderr tail of a worker that died uncleanly (a
     #: SIGKILLed process cannot flush a pipe, but the file survives).
@@ -190,11 +148,8 @@ def worker_main(conn, task: CompileTask) -> None:
             _redirect_stderr(task.stderr_path)
         _apply_rlimits(task.limits)
         if task.chaos_plan is not None:
-            from ..chaos.inject import install_plan
-
             install_plan(task.chaos_plan, attempt=task.attempt)
-        if task.inject is not None and task.inject.fires_on(task.attempt):
-            task.inject.trigger()
+        chaos_worker_start(task.spec.name, task.attempt)
         result = compile_spec(task.spec, task.options)
         conn.send(("ok", encode_result(result, task.attempt + 1)))
     except BaseException as exc:  # noqa: BLE001 - must never die silently

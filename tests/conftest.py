@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.chaos import FaultSpec
 from repro.compiler import CompileOptions
 from repro.dsl import evaluate_output
 from repro.machine import simulate
@@ -27,6 +28,20 @@ def run_and_compare(kernel, program, seed=0, rel=1e-4):
     reference = kernel.reference_outputs(inputs)
     approx_list(result.output("out"), reference, rel=rel)
     return result
+
+
+#: A ``worker.start`` sleep this long outlasts every kill-timeout the
+#: tests set, so the worker hangs until the supervisor kills it.
+HANG_SECONDS = 600.0
+
+
+def worker_fault(action, attempts=(0,), **fields):
+    """A chaos fault at ``worker.start`` that fires on every listed
+    service attempt (of one kernel's compiles with ``kernel=``)."""
+    return FaultSpec(
+        "worker.start", action, probability=1.0, max_fires=None,
+        attempts=attempts, **fields,
+    )
 
 
 @pytest.fixture

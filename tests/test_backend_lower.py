@@ -190,6 +190,18 @@ class TestErrors:
         with pytest.raises(LoweringError, match="covers"):
             lower_term(parse("(Vec (Get a 0) 0 0 0)"), {"a": 4}, 9)
 
+    def test_backend_raises_the_staged_lowering_error(self):
+        """One ``LoweringError``: the backend's is the compiler's staged
+        error, so ``except repro.errors.LoweringError`` catches it."""
+        import repro.backend
+        import repro.errors
+
+        assert LoweringError is repro.errors.LoweringError
+        assert repro.backend.LoweringError is repro.errors.LoweringError
+        with pytest.raises(repro.errors.CompileError) as info:
+            lower_term(parse("(List (myfn (Get a 0)))"), {"a": 4}, 1)
+        assert info.value.stage == "lowering"
+
     def test_input_padding_declared(self):
         program = lower_term(parse("(Vec (Get t 0) 0 0 0)"), {"t": 3}, 4)
         assert program.inputs["t"] == 4

@@ -11,11 +11,13 @@ import dataclasses
 
 import pytest
 
+from tests.conftest import worker_fault
+from repro.chaos import FaultPlan, active_plan
 from repro.chaos.invariants import check_breaker_log
 from repro.compiler import MIN_NODE_LIMIT, MIN_TIME_LIMIT, CompileOptions
 from repro.errors import CircuitOpenError, WorkerCrashError
 from repro.frontend.lift import lift
-from repro.service import CompileService, FaultInjection, RetryPolicy
+from repro.service import CompileService, RetryPolicy
 
 FAST = CompileOptions(
     time_limit=5.0, node_limit=20_000, iter_limit=8, validate=False
@@ -28,7 +30,7 @@ POLICY = RetryPolicy(
     strike_threshold=2,
 )
 #: In-process "worker death" on every attempt (see _run_once).
-CRASH = FaultInjection("sigkill", attempts=tuple(range(16)))
+CRASH = worker_fault("sigkill", attempts=tuple(range(16)))
 
 
 def _spec(name="breaker-k"):
@@ -49,7 +51,7 @@ def test_breaker_opens_resets_and_closes():
 
     for _ in range(2):
         with pytest.raises(WorkerCrashError):
-            service.compile_spec(spec, FAST, inject=CRASH)
+            service.compile_spec(spec, FAST, FaultPlan([CRASH]))
     assert service.strikes(spec.name) == 2
     with pytest.raises(CircuitOpenError):
         service.compile_spec(spec, FAST)
@@ -63,7 +65,7 @@ def test_breaker_opens_resets_and_closes():
 
     # ...and a success after a non-opening strike closes the breaker.
     with pytest.raises(WorkerCrashError):
-        service.compile_spec(spec, FAST, inject=CRASH)
+        service.compile_spec(spec, FAST, FaultPlan([CRASH]))
     assert service.strikes(spec.name) == 1
     service.compile_spec(spec, FAST)
     assert service.strikes(spec.name) == 0
@@ -81,7 +83,7 @@ def test_reset_all_kernels():
     service = _service()
     for spec in (spec_a, spec_b):
         with pytest.raises(WorkerCrashError):
-            service.compile_spec(spec, FAST, inject=CRASH)
+            service.compile_spec(spec, FAST, FaultPlan([CRASH]))
     service.reset_breaker()  # no kernel argument: reset everything
     assert service.strikes(spec_a.name) == 0
     assert service.strikes(spec_b.name) == 0
@@ -95,10 +97,10 @@ def test_breaker_under_concurrent_compile_many():
     interleaved transition log stays legal."""
     bad = _spec("brk-poison")
     good = _spec("brk-good")
-    service = _service(
-        max_workers=4, inject_for={bad.name: CRASH}
-    )
-    items = service.compile_many([bad, good, bad, bad, bad], FAST)
+    service = _service(max_workers=4)
+    poison = FaultPlan([dataclasses.replace(CRASH, kernel=bad.name)])
+    with active_plan(poison):
+        items = service.compile_many([bad, good, bad, bad, bad], FAST)
 
     assert items[1].ok and items[1].result.program
     bad_items = [items[0], *items[2:]]
@@ -113,9 +115,8 @@ def test_breaker_under_concurrent_compile_many():
         "t", service.breaker_log, POLICY.strike_threshold
     ) == []
 
-    # Recovery also works after concurrent damage (stop poisoning the
-    # kernel first -- the drill is over).
-    service.inject_for.pop(bad.name)
+    # Recovery also works after concurrent damage (the plan is gone,
+    # so the kernel is no longer poisoned -- the drill is over).
     service.reset_breaker(bad.name)
     assert service.compile_spec(bad, FAST).program
 

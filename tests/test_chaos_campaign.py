@@ -179,6 +179,7 @@ def test_default_matrix_covers_every_seam_family():
         "cache.write",
         "worker.spawn",
         "worker.result",
+        "worker.start",
         "runner.iteration",
         "runner.memory",
         "checkpoint.write",
@@ -189,7 +190,9 @@ def test_default_matrix_covers_every_seam_family():
     } <= sites
     actions = {c.action for c in matrix}
     assert len(actions) >= 6
-    # Process-killing faults may only be scheduled on isolated cells.
+    # Process-killing faults may only be scheduled on isolated cells,
+    # and campaign workers run with no address-space limit for oom.
     for cell in matrix:
         if any(s.action == "sigkill" for s in cell.specs):
             assert cell.isolate, f"{cell.name} SIGKILLs without isolation"
+        assert not any(s.action == "oom" for s in cell.specs), cell.name

@@ -155,7 +155,6 @@ def test_repro_options_round_trip_every_serialized_field():
         "validate": False,
         "track_memory": True,
         "select_best_candidate": True,
-        "fault_tolerance": False,
         "checkpoint_stride": 2,
         "seed": 99,
         "phases": "off",
@@ -170,3 +169,10 @@ def test_repro_options_round_trip_every_serialized_field():
     restored = options_from_json(payload)
     for name, value in changed.items():
         assert getattr(restored, name) == value, name
+
+
+def test_repro_options_with_a_removed_field_still_load():
+    """Repros written while ``fault_tolerance`` was a CompileOptions
+    field still load: the removed key is ignored, the rest is read."""
+    restored = options_from_json({"fault_tolerance": False, "iter_limit": 7})
+    assert restored == CompileOptions(iter_limit=7)

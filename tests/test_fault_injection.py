@@ -17,7 +17,7 @@ from tests.conftest import run_and_compare
 from repro.compiler import CompileOptions, compile_spec
 from repro.costs import DiospyrosCostModel
 from repro.egraph import CustomRewrite, Match
-from repro.errors import LoweringError, SaturationError, ValidationError
+from repro.errors import LoweringError, SaturationError
 from repro.evaluation.common import (
     Budget,
     SweepError,
@@ -90,23 +90,9 @@ class TestSaturationCrash:
         assert result.report.failed_rule == "inject-apply-crash"
         run_and_compare(kernel, result.program)
 
-    def test_fault_tolerance_off_raises_staged_error(self, kernel):
-        options = _options(
-            extra_rules=(_crash_on_second_search(),), fault_tolerance=False
-        )
-        with pytest.raises(SaturationError) as exc_info:
-            compile_spec(kernel.spec(), options)
-        assert exc_info.value.stage == "saturation"
-        assert exc_info.value.kernel == kernel.name
-        assert exc_info.value.partial["report"].errored
-
     def test_tracemalloc_stopped_when_stage_raises(self, kernel):
         """The seed leaked the tracemalloc trace on any stage failure."""
-        options = _options(
-            extra_rules=(_crash_on_second_search(),),
-            fault_tolerance=False,
-            track_memory=True,
-        )
+        options = _options(phases="bogus", track_memory=True)
         with pytest.raises(SaturationError):
             compile_spec(kernel.spec(), options)
         assert not tracemalloc.is_tracing()
@@ -216,7 +202,7 @@ class TestCandidateSelection:
 
     def test_non_lowering_failure_degrades_instead(self, kernel, monkeypatch):
         """A cost-model crash inside candidate selection is NOT a
-        forfeit: it degrades (or raises without fault tolerance)."""
+        forfeit: it degrades."""
         import repro.machine.config as machine_config
 
         def broken_cycles(program):
@@ -270,17 +256,6 @@ class TestValidationCrash:
         assert result.diagnostics.retries.get("validation") == 1
         assert not result.diagnostics.unvalidated
         assert not result.degraded
-
-    def test_fault_tolerance_off_raises(self, kernel, monkeypatch):
-        import repro.compiler as compiler_mod
-
-        def always_crashes(spec, term, **kwargs):
-            raise RuntimeError("injected validation crash")
-
-        monkeypatch.setattr(compiler_mod, "validate", always_crashes)
-        options = _options(validate=True, fault_tolerance=False)
-        with pytest.raises(ValidationError):
-            compile_spec(kernel.spec(), options)
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,8 @@ record and in the flight recorder.
 
 import pytest
 
+from tests.conftest import HANG_SECONDS, worker_fault
+from repro.chaos import FaultPlan
 from repro.compiler import CompileOptions
 from repro.errors import WorkerCrashError, WorkerTimeoutError
 from repro.kernels import get_kernel
@@ -17,7 +19,7 @@ from repro.observability import (
     activate,
     validate_spans,
 )
-from repro.service import CompileService, FaultInjection, RetryPolicy, WorkerLimits
+from repro.service import CompileService, RetryPolicy, WorkerLimits
 
 
 def _spec():
@@ -85,11 +87,11 @@ class TestStderrTail:
         with activate(session), pytest.raises(WorkerCrashError) as info:
             service.compile_spec(
                 _spec(), CompileOptions(),
-                inject=FaultInjection(mode="sigkill"),
+                FaultPlan([worker_fault("sigkill")]),
             )
         exc = info.value
         assert exc.stderr_tail is not None
-        assert "injected worker fault: sigkill" in exc.stderr_tail
+        assert "injected chaos fault: sigkill at worker.start" in exc.stderr_tail
         # The tail is part of the printed failure record...
         assert "worker stderr" in str(exc)
         # ...and of the flight-recorder event stream.
@@ -103,13 +105,13 @@ class TestStderrTail:
         with pytest.raises(Exception) as info:
             service.compile_spec(
                 _spec(), CompileOptions(),
-                inject=FaultInjection(mode="raise"),
+                FaultPlan([worker_fault("raise")]),
             )
         # The worker survived long enough to ship an encoded error; its
         # stderr traceback lands in the reconstructed error's partials.
         tail = info.value.partial.get("stderr_tail", "")
-        assert "injected worker fault" in tail
-        assert "RuntimeError" in tail
+        assert "injected chaos fault" in tail
+        assert "InjectedFaultError" in tail
 
     def test_kill_timeout_carries_stderr_tail(self):
         service = CompileService(
@@ -121,9 +123,11 @@ class TestStderrTail:
         with activate(session), pytest.raises(WorkerTimeoutError) as info:
             service.compile_spec(
                 _spec(), CompileOptions(),
-                inject=FaultInjection(mode="hang"),
+                FaultPlan([worker_fault("sleep", seconds=HANG_SECONDS)]),
             )
-        assert "injected worker fault: hang" in (info.value.stderr_tail or "")
+        assert "injected chaos fault: sleep at worker.start" in (
+            info.value.stderr_tail or ""
+        )
         (ev,) = session.recorder.events_of("worker_timeout")
         assert ev["details"]["kill_timeout"] == 1.0
 
@@ -149,7 +153,7 @@ class TestServiceMetrics:
             # Crash on attempt 0, succeed on attempt 1.
             result = service.compile_spec(
                 _spec(), CompileOptions(),
-                inject=FaultInjection(mode="sigkill", attempts=(0,)),
+                FaultPlan([worker_fault("sigkill")]),
             )
         assert result.diagnostics.attempts == 2
         samples = {

@@ -33,18 +33,6 @@ class TestSyntacticRewrite:
         with pytest.raises(ValueError):
             rewrite("bad", "(+ ?a 0)", "?b")
 
-    def test_guard_vetoes(self):
-        eg = EGraph()
-        eg.add_term(parse("(+ x 0)"))
-        rule = rewrite("never", "(+ ?a 0)", "?a", guard=lambda eg_, s: False)
-        assert rule.search(eg) == []
-
-    def test_guard_allows(self):
-        eg = EGraph()
-        eg.add_term(parse("(+ x 0)"))
-        rule = rewrite("always", "(+ ?a 0)", "?a", guard=lambda eg_, s: True)
-        assert len(rule.search(eg)) == 1
-
     def test_birewrite_creates_two_rules(self):
         rules = birewrite("mac", "(VecAdd ?a (VecMul ?b ?c))", "(VecMAC ?a ?b ?c)")
         assert len(rules) == 2

@@ -296,18 +296,6 @@ class TestRunnerErrorRecovery:
         # rebuilt, so the surviving graph reflects them consistently.
         assert eg.equiv(parse("(+ x 0)"), parse("x"))
 
-    def test_catch_errors_false_propagates(self):
-        eg = EGraph()
-        eg.add_term(parse("(+ x 0)"))
-
-        def searcher(egr):
-            raise RuntimeError("boom")
-            yield  # pragma: no cover
-
-        runner = Runner([CustomRewrite("boom", searcher)], catch_errors=False)
-        with pytest.raises(RuntimeError):
-            runner.run(eg)
-
     def test_rule_stats_exposed_in_report(self):
         eg = EGraph()
         eg.add_term(parse("(+ (+ x 0) 0)"))

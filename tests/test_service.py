@@ -14,7 +14,8 @@ import time
 
 import pytest
 
-from tests.conftest import run_and_compare
+from tests.conftest import HANG_SECONDS, run_and_compare, worker_fault
+from repro.chaos import FaultPlan, active_plan
 from repro.compiler import (
     MIN_NODE_LIMIT,
     MIN_TIME_LIMIT,
@@ -36,7 +37,6 @@ from repro.rules import _shipped_rules, build_ruleset
 from repro.service import (
     ArtifactCache,
     CompileService,
-    FaultInjection,
     RetryPolicy,
     WorkerLimits,
 )
@@ -84,13 +84,11 @@ class TestIsolatedCompile:
     def test_worker_error_is_reconstructed_with_stage(self, kernel):
         """A worker-side logic error comes back as a staged CompileError
         carrying the original type name, and is not retried."""
-        service = _service(
-            isolate=True,
-            inject_for={kernel.name: FaultInjection("raise", attempts=(0, 1, 2))},
-        )
+        service = _service(isolate=True)
+        plan = FaultPlan([worker_fault("raise", attempts=(0, 1, 2))])
         with pytest.raises(CompileError) as exc_info:
-            service.compile_spec(kernel.spec(), FAST)
-        assert "RuntimeError" in str(exc_info.value)
+            service.compile_spec(kernel.spec(), FAST, plan)
+        assert "InjectedFaultError" in str(exc_info.value)
         assert not is_resource_failure(exc_info.value)
         assert service.stats.compiles == 1  # fail fast, no retry
         assert service.stats.retries == 0
@@ -261,11 +259,9 @@ class TestWarmForks:
 
 class TestFaultContainment:
     def test_sigkill_is_retried_and_recovers(self, kernel):
-        service = _service(
-            isolate=True,
-            inject_for={kernel.name: FaultInjection("sigkill", attempts=(0,))},
-        )
-        result = service.compile_spec(kernel.spec(), FAST)
+        service = _service(isolate=True)
+        plan = FaultPlan([worker_fault("sigkill")])
+        result = service.compile_spec(kernel.spec(), FAST, plan)
         assert result.diagnostics.attempts == 2
         assert service.stats.worker_crashes == 1
         assert service.stats.retries == 1
@@ -276,11 +272,11 @@ class TestFaultContainment:
             isolate=True,
             limits=WorkerLimits(kill_timeout=1.0),
             policy=dataclasses.replace(QUICK_RETRY, max_attempts=1),
-            inject_for={kernel.name: FaultInjection("hang", attempts=(0,))},
         )
+        plan = FaultPlan([worker_fault("sleep", seconds=HANG_SECONDS)])
         start = time.perf_counter()
         with pytest.raises(WorkerTimeoutError) as exc_info:
-            service.compile_spec(kernel.spec(), FAST)
+            service.compile_spec(kernel.spec(), FAST, plan)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0  # killed, not waited out
         assert exc_info.value.signal == 9
@@ -297,10 +293,10 @@ class TestFaultContainment:
                 address_space_bytes=512 * 1024 * 1024, kill_timeout=30.0
             ),
             policy=dataclasses.replace(QUICK_RETRY, max_attempts=2),
-            inject_for={kernel.name: FaultInjection("oom", attempts=(0, 1))},
         )
+        plan = FaultPlan([worker_fault("oom", attempts=(0, 1))])
         with pytest.raises(Exception) as exc_info:
-            service.compile_spec(kernel.spec(), FAST)
+            service.compile_spec(kernel.spec(), FAST, plan)
         assert is_resource_failure(exc_info.value)
         assert service.stats.compiles == 2  # retried once
         assert service.stats.failures == 1
@@ -336,46 +332,50 @@ class TestFaultContainment:
 # ----------------------------------------------------------------------
 
 
+def _crash_every_attempt():
+    """A worker death at every attempt's ``worker.start``."""
+    return FaultPlan([worker_fault("sigkill", attempts=tuple(range(8)))])
+
+
 class TestCircuitBreaker:
-    def _failing_service(self, kernel, threshold=2):
+    def _failing_service(self, threshold=2):
         return _service(
             isolate=False,  # simulated worker crashes: fast
             policy=dataclasses.replace(
                 QUICK_RETRY, max_attempts=2, strike_threshold=threshold
             ),
-            inject_for={
-                kernel.name: FaultInjection("sigkill", attempts=tuple(range(8)))
-            },
         )
 
     def test_breaker_opens_after_strikes(self, kernel):
-        service = self._failing_service(kernel)
+        service = self._failing_service()
+        crash = _crash_every_attempt()
         with pytest.raises(WorkerCrashError):
-            service.compile_spec(kernel.spec(), FAST)  # 2 strikes
+            service.compile_spec(kernel.spec(), FAST, crash)  # 2 strikes
         assert service.strikes(kernel.name) == 2
         with pytest.raises(CircuitOpenError) as exc_info:
-            service.compile_spec(kernel.spec(), FAST)
+            service.compile_spec(kernel.spec(), FAST, crash)
         assert exc_info.value.kernel == kernel.name
         assert service.stats.breaker_trips == 1
         # The open breaker spawned no further attempts.
         assert service.stats.compiles == 2
 
     def test_reset_breaker_allows_new_attempts(self, kernel):
-        service = self._failing_service(kernel)
+        service = self._failing_service()
+        crash = _crash_every_attempt()
         with pytest.raises(WorkerCrashError):
-            service.compile_spec(kernel.spec(), FAST)
+            service.compile_spec(kernel.spec(), FAST, crash)
         service.reset_breaker(kernel.name)
         assert service.strikes(kernel.name) == 0
         with pytest.raises(WorkerCrashError):  # not CircuitOpenError
-            service.compile_spec(kernel.spec(), FAST)
+            service.compile_spec(kernel.spec(), FAST, crash)
 
     def test_success_resets_strikes(self, kernel):
         service = _service(
             isolate=False,
             policy=dataclasses.replace(QUICK_RETRY, strike_threshold=5),
-            inject_for={kernel.name: FaultInjection("sigkill", attempts=(0,))},
         )
-        result = service.compile_spec(kernel.spec(), FAST)
+        plan = FaultPlan([worker_fault("sigkill")])
+        result = service.compile_spec(kernel.spec(), FAST, plan)
         assert result is not None
         assert service.strikes(kernel.name) == 0
 
@@ -435,11 +435,11 @@ class TestBatch:
         service = _service(
             isolate=False,
             policy=dataclasses.replace(QUICK_RETRY, max_attempts=1),
-            inject_for={bad: FaultInjection("raise", attempts=(0,))},
         )
-        items = service.compile_many(
-            [k.spec() for k in kernels], TINY_BUDGET.options()
-        )
+        with active_plan(FaultPlan([worker_fault("raise", kernel=bad)])):
+            items = service.compile_many(
+                [k.spec() for k in kernels], TINY_BUDGET.options()
+            )
         assert [i.name for i in items] == [k.name for k in kernels]
         assert items[0].ok and items[2].ok
         assert not items[1].ok
@@ -463,16 +463,19 @@ class TestSweepWithWorkerDeaths:
                 address_space_bytes=512 * 1024 * 1024, kill_timeout=60.0
             ),
             policy=dataclasses.replace(QUICK_RETRY, max_attempts=2),
-            inject_for={
-                sigkilled: FaultInjection("sigkill", attempts=(0,)),
-                oomed: FaultInjection("oom", attempts=(0, 1)),
-            },
+        )
+        plan = FaultPlan(
+            [
+                worker_fault("sigkill", kernel=sigkilled),
+                worker_fault("oom", attempts=(0, 1), kernel=oomed),
+            ]
         )
         errors = []
-        rows = run_table1(
-            TINY_BUDGET, kernels, track_memory=False,
-            errors=errors, service=service,
-        )
+        with active_plan(plan):
+            rows = run_table1(
+                TINY_BUDGET, kernels, track_memory=False,
+                errors=errors, service=service,
+            )
 
         # Sweep completed: survivors have rows, the OOM kernel a SweepError.
         assert [r.kernel for r in rows] == [k.name for k in kernels if k.name != oomed]

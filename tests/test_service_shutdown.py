@@ -16,12 +16,13 @@ import time
 
 import pytest
 
+from tests.conftest import HANG_SECONDS, worker_fault
+from repro.chaos import FaultPlan, active_plan
 from repro.compiler import CompileOptions
 from repro.errors import CompileError, ShutdownError
 from repro.frontend.lift import lift
 from repro.service import (
     CompileService,
-    FaultInjection,
     RetryPolicy,
     WorkerLimits,
 )
@@ -30,6 +31,8 @@ FAST = CompileOptions(
     time_limit=5.0, node_limit=20_000, iter_limit=8, validate=False
 )
 QUICK = RetryPolicy(max_attempts=2, backoff_base=0.01, backoff_jitter=0.0)
+#: A first-attempt worker that hangs until it is killed.
+HANG = worker_fault("sleep", seconds=HANG_SECONDS)
 
 
 def _spec(name="shutdown-k"):
@@ -72,7 +75,7 @@ def test_shutdown_kills_and_reaps_inflight_workers():
 
     def compile_one():
         try:
-            service.compile_spec(spec, FAST, inject=FaultInjection("hang"))
+            service.compile_spec(spec, FAST, FaultPlan([HANG]))
         except BaseException as exc:  # noqa: BLE001 - inspected below
             errors.append(exc)
 
@@ -125,7 +128,7 @@ def test_worker_forked_during_drain_is_killed():
     service._register = register_after_drain
     start = time.monotonic()
     with pytest.raises(ShutdownError):
-        service.compile_spec(spec, FAST, inject=FaultInjection("hang"))
+        service.compile_spec(spec, FAST, FaultPlan([HANG]))
     assert time.monotonic() - start < 10.0
     assert service._live == []
 
@@ -144,7 +147,7 @@ def test_drain_casualties_are_not_retried():
 
     def compile_one():
         try:
-            service.compile_spec(spec, FAST, inject=FaultInjection("hang"))
+            service.compile_spec(spec, FAST, FaultPlan([HANG]))
         except BaseException as exc:  # noqa: BLE001
             result["error"] = exc
 
@@ -207,12 +210,12 @@ def test_compile_many_drains_cleanly():
         policy=QUICK,
         max_workers=2,
         limits=WorkerLimits(kill_timeout=120.0),
-        inject_for={s.name: FaultInjection("hang") for s in specs},
     )
     done = {}
 
     def run_batch():
-        done["items"] = service.compile_many(specs, FAST)
+        with active_plan(FaultPlan([HANG])):
+            done["items"] = service.compile_many(specs, FAST)
 
     thread = threading.Thread(target=run_batch)
     thread.start()
